@@ -30,9 +30,11 @@ from .jordan import (
 from .kummer import (
     CertificateFailure,
     KummerContext,
+    KummerModel,
     MismatchError,
     VANISHING_PAIRS,
     build_context,
+    build_model,
     build_sigma_h1,
     coefficient_action,
     ell_table,
@@ -70,6 +72,7 @@ from .linalg import (
     FinAbGroup,
     FpMatrix,
     IntMatrix,
+    InvariantError,
     cokernel,
     exterior_power,
     kernel_basis,

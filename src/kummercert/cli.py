@@ -22,16 +22,14 @@ from .cohomology import (
 from .jordan import JordanType
 from .kummer import (
     CertificateFailure,
-    MismatchError,
-    build_context,
+    KummerModel,
+    build_model,
     build_sigma_h1,
-    coefficient_action,
     ell_table,
     ell_table_routes,
-    vanishing_certificate,
 )
 from .ledger import ScriptFormatError, check_script, leaf_facts_from_computation, parse_script
-from .linalg import ExactSolveError, kernel_basis
+from .linalg import InvariantError
 from .proofscript import load_shipped_script
 
 COMMANDS = ("ell-table", "cohomology", "verify-proposition", "check-ledger", "full-cert")
@@ -89,12 +87,11 @@ def _cmd_ell_table(config: RunConfig):
 
 
 def _cmd_cohomology(config: RunConfig):
-    action = build_sigma_h1()
+    model = KummerModel(build_sigma_h1(), degrees=(0, 1, 2, 3, 4))
     rows = []
     ok = True
     lines = ["group cohomology H^p(A3, H^q) of the exterior-power lattices:"]
-    for q in range(5):
-        coeff = coefficient_action(action, q)
+    for q, coeff in model.powers.items():
         jtype = jordan_type_mod3(coeff)
         for p in (1, 2):
             group = cohomology_snf(coeff, p)
@@ -160,21 +157,15 @@ def _cmd_full_cert(config: RunConfig):
         sections.append({"name": name, "pass": passed, "detail": detail})
         lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
 
-    action = build_sigma_h1()
-    jtype = jordan_type_mod3(action)
-    fixed = kernel_basis(action.shifted()).cols
-    model_ok = (
-        action.matrix.mat_pow(3).is_identity()
-        and jtype == JordanType(0, 4, 0)
-        and fixed == 0
-    )
+    model = build_model()
     section(
         "lattice model",
-        model_ok,
-        f"order 3 on Z^8, mod-3 type {jtype}, fixed rank {fixed} [computed]",
+        model.is_expected_model,
+        f"order 3 on Z^8, mod-3 type {model.base_type}, fixed rank "
+        f"{model.fixed_ranks[1]} [computed]",
     )
 
-    matrix_route, closed_route = ell_table_routes(action)
+    matrix_route, closed_route = model.routes
     table_ok = all(
         matrix_route[k] == REFERENCE_TABLE[k] and closed_route[k] == REFERENCE_TABLE[k]
         for k in REFERENCE_TABLE
@@ -186,7 +177,7 @@ def _cmd_full_cert(config: RunConfig):
     )
 
     try:
-        vanishing = vanishing_certificate(action)
+        vanishing = model.vanishing
         section(
             "vanishing certificate",
             True,
@@ -198,8 +189,9 @@ def _cmd_full_cert(config: RunConfig):
         vanishing_ok = False
 
     report_payload = None
-    if vanishing_ok and model_ok and table_ok:
-        ctx = build_context()
+    certified = vanishing_ok and model.is_expected_model and table_ok
+    if certified:
+        ctx = model.context()
         shipped = load_shipped_script()
         recomputed = leaf_facts_from_computation(ctx)
         shipped_leafs = {a.id: a.facts for a in shipped.axioms if a.computation}
@@ -248,7 +240,7 @@ def _cmd_full_cert(config: RunConfig):
     passed = all(s["pass"] for s in sections)
     lines.append(CONCLUSION if passed else "certification FAILED")
     payload = {"sections": sections, "conclusion": lines[-1]}
-    if vanishing_ok and model_ok and table_ok:
+    if certified:
         payload["context"] = ctx.to_json_dict()
     if report_payload is not None:
         payload["ledger"] = report_payload
@@ -301,7 +293,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ScriptFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MismatchError, ExactSolveError, AssertionError) as exc:
+    except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
     except CertificateFailure as exc:

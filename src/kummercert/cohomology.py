@@ -19,7 +19,7 @@ randomized block-sum lattices, which is the guard for this dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .jordan import JordanType, jordan_type_unipotent
@@ -27,6 +27,7 @@ from .linalg import (
     BadDegreeError,
     FinAbGroup,
     IntMatrix,
+    InvariantError,
     cokernel,
     kernel_basis,
     solve_exact,
@@ -48,13 +49,18 @@ class LatticeAction:
     """An order-3 (or trivial) integer action on Z^n, given by its generator."""
 
     matrix: IntMatrix
+    _square: IntMatrix = field(init=False, repr=False, compare=False)
+    _norm: IntMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
         if m.rows != m.cols:
             raise ValueError("the generator must be square")
-        if not m.mat_pow(3).is_identity():
+        square = m @ m
+        if not (square @ m).is_identity():
             raise ValueError("the generator must cube to the identity")
+        object.__setattr__(self, "_square", square)
+        object.__setattr__(self, "_norm", IntMatrix.identity(m.rows) + m + square)
 
     @property
     def rank(self) -> int:
@@ -62,11 +68,11 @@ class LatticeAction:
 
     def squared(self) -> "LatticeAction":
         """The action of the other generator, s^2."""
-        return LatticeAction(self.matrix @ self.matrix)
+        return LatticeAction(self._square)
 
     def norm(self) -> IntMatrix:
-        s = self.matrix
-        return IntMatrix.identity(self.rank) + s + s @ s
+        """N = 1 + s + s^2."""
+        return self._norm
 
     def shifted(self) -> IntMatrix:
         return self.matrix - IntMatrix.identity(self.rank)
@@ -146,7 +152,8 @@ def random_unimodular(rng, n: int, ops: int | None = None) -> tuple[IntMatrix, I
             for row in minv:
                 row[i] = -row[i]
     p, pinv = IntMatrix(m, n), IntMatrix(minv, n)
-    assert (p @ pinv).is_identity()
+    if not (p @ pinv).is_identity():
+        raise InvariantError("the tracked inverse of a random unimodular matrix is wrong")
     return p, pinv
 
 

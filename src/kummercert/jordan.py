@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BadDegreeError, FpMatrix
+from .linalg import BadDegreeError, FpMatrix, InvariantError
 
 __all__ = [
     "JordanType",
@@ -166,7 +166,8 @@ def jordan_type_unipotent(m: FpMatrix) -> JordanType:
     counts = [ranks[q - 1] - 2 * ranks[q] + ranks[q + 1] for q in range(1, p + 1)]
     counts += [0] * (3 - p)
     result = JordanType(*counts)
-    assert result.dimension == n
+    if result.dimension != n:
+        raise InvariantError(f"block counts {result} do not add up to dimension {n}")
     return result
 
 

@@ -28,18 +28,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cohomology import LatticeAction, cohomology_snf, jordan_type_mod3
 from .jordan import JordanType, wedge
-from .linalg import FinAbGroup, IntMatrix, exterior_power, kernel_basis
+from .linalg import FinAbGroup, IntMatrix, InvariantError, exterior_power, kernel_basis
 
 __all__ = [
     "CertificateFailure",
     "KummerContext",
+    "KummerModel",
     "MismatchError",
     "VANISHING_PAIRS",
     "VanishingEntry",
     "build_context",
+    "build_model",
     "build_sigma_h1",
     "ell_table",
     "ell_table_routes",
@@ -48,7 +51,7 @@ __all__ = [
 ]
 
 
-class MismatchError(RuntimeError):
+class MismatchError(InvariantError):
     """The two independent computation routes disagree (a bug, not bad input)."""
 
 
@@ -64,45 +67,22 @@ VANISHING_PAIRS = ((1, 2), (2, 1), (3, 0), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0
 
 _EXPECTED_H1_TYPE = JordanType(0, 4, 0)
 
+# Degrees of the exterior-power tower: the block-count table uses 1..4,
+# the vanishing certificate 0..4 and the fixed-rank table 0..5.
+TOWER_DEGREES = (0, 1, 2, 3, 4, 5)
+_ELL_DEGREES = (1, 2, 3, 4)
+_VANISHING_DEGREES = tuple(sorted({q for _, q in VANISHING_PAIRS}))
+
 
 def build_sigma_h1() -> LatticeAction:
     """The order-3 action on the degree-1 lattice Z^8 of A x A."""
     block = IntMatrix(SIGMA_BLOCK)
-    action = LatticeAction(IntMatrix.block_diag([block] * 4))
-    # The sign convention must produce order 3 with no fixed vectors and
-    # four size-2 blocks mod 3; anything else means the model is wrong.
-    assert jordan_type_mod3(action) == _EXPECTED_H1_TYPE
-    assert kernel_basis(action.shifted()).cols == 0
-    return action
+    return LatticeAction(IntMatrix.block_diag([block] * 4))
 
 
 def coefficient_action(action: LatticeAction, q: int) -> LatticeAction:
     """The induced action on the degree-q lattice (the q-th exterior power)."""
     return LatticeAction(exterior_power(action.matrix, q))
-
-
-def ell_table_routes(
-    action: LatticeAction | None = None,
-) -> tuple[dict[int, JordanType], dict[int, JordanType]]:
-    """Block counts for k = 1..4 by the matrix route and by the closed form."""
-    if action is None:
-        action = build_sigma_h1()
-    matrix_route = {
-        k: jordan_type_mod3(coefficient_action(action, k)) for k in range(1, 5)
-    }
-    base = jordan_type_mod3(action)
-    closed_route = {k: wedge(base, k) for k in range(1, 5)}
-    return matrix_route, closed_route
-
-
-def ell_table(action: LatticeAction | None = None) -> dict[int, JordanType]:
-    """The certified block-count table; both routes must agree."""
-    matrix_route, closed_route = ell_table_routes(action)
-    if matrix_route != closed_route:
-        raise MismatchError(
-            f"exterior-power route {matrix_route} != closed-form route {closed_route}"
-        )
-    return matrix_route
 
 
 @dataclass(frozen=True)
@@ -115,32 +95,114 @@ class VanishingEntry:
         return {"p": self.p, "q": self.q, "group": self.group.to_json_dict()}
 
 
+class KummerModel:
+    """One order-3 action and its exterior powers, each built exactly once.
+
+    The powers for the requested degrees are built with the model; every
+    invariant read off them is computed on first use and then kept, so the
+    commands and the context that share a model never recompute a lattice.
+    """
+
+    def __init__(self, action: LatticeAction, degrees: tuple[int, ...] = TOWER_DEGREES):
+        self.action = action
+        self.powers = {q: coefficient_action(action, q) for q in degrees}
+
+    @cached_property
+    def base_type(self) -> JordanType:
+        """The mod-3 Jordan type of the action itself."""
+        return jordan_type_mod3(self.action)
+
+    @cached_property
+    def routes(self) -> tuple[dict[int, JordanType], dict[int, JordanType]]:
+        """Block counts for k = 1..4 by the matrix route and by the closed form."""
+        matrix_route = {k: jordan_type_mod3(self.powers[k]) for k in _ELL_DEGREES}
+        closed_route = {k: wedge(self.base_type, k) for k in _ELL_DEGREES}
+        return matrix_route, closed_route
+
+    @property
+    def ell(self) -> dict[int, JordanType]:
+        """The certified block-count table; both routes must agree."""
+        matrix_route, closed_route = self.routes
+        if matrix_route != closed_route:
+            raise MismatchError(
+                f"exterior-power route {matrix_route} != closed-form route {closed_route}"
+            )
+        return matrix_route
+
+    @cached_property
+    def vanishing_entries(self) -> tuple[VanishingEntry, ...]:
+        """Every certificate group, zero or not."""
+        return tuple(
+            VanishingEntry(p, q, cohomology_snf(self.powers[q], p)) for p, q in VANISHING_PAIRS
+        )
+
+    @property
+    def vanishing(self) -> tuple[VanishingEntry, ...]:
+        """The certificate groups; raise on the first non-zero entry."""
+        for entry in self.vanishing_entries:
+            if not entry.group.is_zero:
+                raise CertificateFailure(
+                    f"H^{entry.p}(A3, H^{entry.q}) = {entry.group}, expected 0"
+                )
+        return self.vanishing_entries
+
+    @cached_property
+    def fixed_ranks(self) -> dict[int, int]:
+        """Rank of the fixed sublattice of each exterior power."""
+        return {q: kernel_basis(power.shifted()).cols for q, power in self.powers.items()}
+
+    @property
+    def is_expected_model(self) -> bool:
+        # The sign convention must give four size-2 blocks mod 3 and no
+        # fixed vectors; anything else means the model is wrong.
+        return self.base_type == _EXPECTED_H1_TYPE and self.fixed_ranks[1] == 0
+
+    def context(self) -> "KummerContext":
+        """The certified context; the model must be the expected one."""
+        if not self.is_expected_model:
+            raise InvariantError(
+                f"the degree-1 model has mod-3 type {self.base_type} and fixed rank "
+                f"{self.fixed_ranks[1]}, expected {_EXPECTED_H1_TYPE} and 0"
+            )
+        return KummerContext(
+            sigma_h1=self.action,
+            ell=self.ell,
+            vanishing=self.vanishing,
+            fixed_ranks=self.fixed_ranks,
+        )
+
+
+def build_model() -> KummerModel:
+    """The rank-8 model with its whole tower, Lambda^q for q = 0..5."""
+    return KummerModel(build_sigma_h1())
+
+
+def _model(action: LatticeAction | None, degrees: tuple[int, ...]) -> KummerModel:
+    return KummerModel(build_sigma_h1() if action is None else action, degrees)
+
+
+def ell_table_routes(
+    action: LatticeAction | None = None,
+) -> tuple[dict[int, JordanType], dict[int, JordanType]]:
+    """Block counts for k = 1..4 by the matrix route and by the closed form."""
+    return _model(action, _ELL_DEGREES).routes
+
+
+def ell_table(action: LatticeAction | None = None) -> dict[int, JordanType]:
+    """The certified block-count table; both routes must agree."""
+    return _model(action, _ELL_DEGREES).ell
+
+
 def vanishing_certificate(action: LatticeAction | None = None) -> tuple[VanishingEntry, ...]:
     """Compute all certificate groups; raise on the first non-zero entry."""
-    if action is None:
-        action = build_sigma_h1()
-    coefficients = {q: coefficient_action(action, q) for q in sorted({q for _, q in VANISHING_PAIRS})}
-    entries = tuple(
-        VanishingEntry(p, q, cohomology_snf(coefficients[q], p)) for p, q in VANISHING_PAIRS
-    )
-    for entry in entries:
-        if not entry.group.is_zero:
-            raise CertificateFailure(
-                f"H^{entry.p}(A3, H^{entry.q}) = {entry.group}, expected 0"
-            )
-    return entries
+    return _model(action, _VANISHING_DEGREES).vanishing
 
 
 def fixed_rank_table(
-    action: LatticeAction | None = None, degrees: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
+    action: LatticeAction | None = None, degrees: tuple[int, ...] = TOWER_DEGREES
 ) -> dict[int, int]:
     """Rank of the fixed sublattice of the degree-q exterior power."""
-    if action is None:
-        action = build_sigma_h1()
-    out = {}
-    for q in degrees:
-        out[q] = kernel_basis(coefficient_action(action, q).shifted()).cols
-    return out
+    return _model(action, degrees).fixed_ranks
 
 
 @dataclass(frozen=True)
@@ -167,10 +229,4 @@ class KummerContext:
 
 
 def build_context() -> KummerContext:
-    action = build_sigma_h1()
-    return KummerContext(
-        sigma_h1=action,
-        ell=ell_table(action),
-        vanishing=vanishing_certificate(action),
-        fixed_ranks=fixed_rank_table(action),
-    )
+    return build_model().context()

@@ -260,9 +260,6 @@ class FactStore:
     def provenance(self, fact: Fact) -> tuple:
         return self._facts[fact]
 
-    def facts_for(self, subject: GroupRef) -> list[Fact]:
-        return list(self._by_subject.get(subject, ()))
-
     def _validate_ref(self, ref: GroupRef) -> None:
         if ref.space not in self._spaces:
             raise ParameterMismatchError(f"space {ref.space!r} is not declared")

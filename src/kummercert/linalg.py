@@ -1,8 +1,11 @@
 """Exact dense linear algebra over prime fields and over the integers.
 
 Matrices over F_p are backed by small numpy integer arrays; every value
-stays far below 2**63, so the arithmetic is exact.  Matrices over Z use
-Python integers and are immune to overflow.  All values are immutable and
+stays far below 2**63, so the arithmetic is exact.  Matrices over Z hold
+Python integers and are immune to overflow.  Their product runs in numpy
+int64 only when ``cols * max|a| * max|b| < 2**62`` proves that no partial
+sum can overflow, and otherwise falls back to an exact pure-Python loop;
+either way the entries stay Python integers.  All values are immutable and
 every operation is a pure function, so everything here is safe to share
 between threads.
 
@@ -24,6 +27,7 @@ import numpy as np
 __all__ = [
     "BadDegreeError",
     "ExactSolveError",
+    "InvariantError",
     "FinAbGroup",
     "FpMatrix",
     "IntMatrix",
@@ -42,7 +46,15 @@ class BadDegreeError(ValueError):
     """Requested degree is outside the valid range for the operation."""
 
 
-class ExactSolveError(RuntimeError):
+class InvariantError(RuntimeError):
+    """An internal invariant was violated: a bug, never bad input.
+
+    Raised explicitly rather than by ``assert``, so the check survives
+    ``python -O``.
+    """
+
+
+class ExactSolveError(InvariantError):
     """An integer linear system that must be solvable by construction is not.
 
     Raised only when an internal exactness invariant is violated; never a
@@ -367,13 +379,14 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("mismatched shapes")
-        if self.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        cols = tuple(zip(*other.data))
-        out = tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in self.data
-        )
-        return IntMatrix(out, other.cols)
+        if not (self.rows and self.cols and other.cols):
+            return _matmul_reference(self, other)
+        bound = self.cols * _max_abs(self) * _max_abs(other)
+        if not 0 < bound < _INT64_SAFE:
+            return _matmul_reference(self, other)
+        # A non-zero bound caps every entry too, so the conversion is exact.
+        product = np.array(self.data, dtype=np.int64) @ np.array(other.data, dtype=np.int64)
+        return IntMatrix(product.tolist(), other.cols)
 
     def mat_pow(self, e: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -434,6 +447,24 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"
+
+
+# Below this bound on cols * max|a| * max|b| no partial sum of a matrix
+# product leaves int64, whose range is [-2**63, 2**63).
+_INT64_SAFE = 2**62
+
+
+def _max_abs(m: IntMatrix) -> int:
+    return max(map(abs, itertools.chain.from_iterable(m.data)))
+
+
+def _matmul_reference(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The exact product in Python integers; the oracle for the int64 path."""
+    if a.cols == 0:
+        return IntMatrix.zeros(a.rows, b.cols)
+    cols = tuple(zip(*b.data))
+    out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.data)
+    return IntMatrix(out, b.cols)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -582,7 +613,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             _row_combine(a, u, j, i, a[j][i] // a[i][i])
 
     for t in range(rank):
-        assert a[t][t] > 0
+        if a[t][t] <= 0:
+            raise InvariantError(f"Smith normal form pivot {t} is {a[t][t]}, not positive")
     d = IntMatrix(a, ncols)
     return IntMatrix(u, nrows), d, IntMatrix(v, ncols)
 

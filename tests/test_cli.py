@@ -1,12 +1,21 @@
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import kummercert
+from kummercert import kummer
 from kummercert.cli import ConfigError, RunConfig, main, run
 from kummercert.ledger import script_to_json_dict, without_axiom, without_step
+from kummercert.linalg import IntMatrix, InvariantError
 from kummercert.proofscript import shipped_script_text
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 SCHEMA = json.loads(
     importlib.resources.files("kummercert")
@@ -117,3 +126,77 @@ def test_main_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     validate(payload)
     assert payload["command"] == "ell-table"
+
+
+def test_main_maps_invariant_errors_to_exit_3(monkeypatch, capsys):
+    def broken():
+        raise InvariantError("broken on purpose")
+
+    monkeypatch.setattr("kummercert.cli.ell_table", broken)
+    assert main(["ell-table"]) == 3
+    assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_full_cert_reports_a_certificate_failure(monkeypatch):
+    # H^2(A3, H^0) = Z/3 is non-zero, so demanding it vanish must fail
+    # the certificate section, skip the ledger and exit 1.
+    monkeypatch.setattr(kummer, "VANISHING_PAIRS", kummer.VANISHING_PAIRS + ((2, 0),))
+    code, payload, _ = run(RunConfig("full-cert"))
+    assert code == 1
+    sections = {s["name"]: s for s in payload["sections"]}
+    assert not sections["vanishing certificate"]["pass"]
+    assert "H^2(A3, H^0) = Z/3" in sections["vanishing certificate"]["detail"]
+    assert sections["computation-backed axioms"]["detail"] == "skipped: upstream failure"
+    assert "context" not in payload and "ledger" not in payload
+
+
+GOLDEN_RUNS = {
+    "full-cert-seed0.json": ["full-cert", "--seed", "0"],
+    "full-cert-seed7.json": ["full-cert", "--seed", "7"],
+    "ell-table.json": ["ell-table"],
+    "cohomology.json": ["cohomology"],
+    "verify-proposition.json": ["verify-proposition"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_json_reports_match_golden_bytes(name, capsys):
+    assert main(GOLDEN_RUNS[name] + ["--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_full_cert_builds_each_lattice_once(monkeypatch):
+    degrees = []
+    mat_pows = []
+    coefficient_action = kummer.coefficient_action
+    mat_pow = IntMatrix.mat_pow
+
+    def counted_coefficient_action(action, q):
+        degrees.append(q)
+        return coefficient_action(action, q)
+
+    def counted_mat_pow(self, e):
+        mat_pows.append(e)
+        return mat_pow(self, e)
+
+    monkeypatch.setattr(kummer, "coefficient_action", counted_coefficient_action)
+    monkeypatch.setattr(IntMatrix, "mat_pow", counted_mat_pow)
+    code, _, _ = run(RunConfig("full-cert"))
+    assert code == 0
+    assert len(degrees) <= 6 and len(set(degrees)) == len(degrees)
+    assert mat_pows == []
+
+
+def test_full_cert_under_python_O_needs_no_asserts():
+    env = dict(os.environ)
+    src = str(Path(kummercert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kummercert.cli", "full-cert", "--format", "json"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    # The golden report is the stdout of the same run without -O.
+    assert proc.stdout == (GOLDEN / "full-cert-seed0.json").read_bytes()

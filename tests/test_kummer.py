@@ -7,6 +7,7 @@ from kummercert.cohomology import LatticeAction, jordan_type_mod3
 from kummercert.jordan import JordanType
 from kummercert.kummer import (
     CertificateFailure,
+    KummerModel,
     VANISHING_PAIRS,
     build_sigma_h1,
     coefficient_action,
@@ -15,7 +16,7 @@ from kummercert.kummer import (
     fixed_rank_table,
     vanishing_certificate,
 )
-from kummercert.linalg import IntMatrix, kernel_basis
+from kummercert.linalg import IntMatrix, InvariantError, kernel_basis
 
 EXPECTED_TABLE = {
     1: JordanType(0, 4, 0),
@@ -93,3 +94,19 @@ def test_context_serialization(ctx):
 def test_coefficient_action_degree_zero_is_trivial():
     action = coefficient_action(build_sigma_h1(), 0)
     assert action.matrix == IntMatrix([[1]])
+
+
+def test_model_sanity_check_is_an_explicit_invariant():
+    # The trivial action has the wrong mod-3 type and fixed vectors; the
+    # context refuses it without relying on assert.
+    model = KummerModel(LatticeAction(IntMatrix.identity(8)))
+    assert not model.is_expected_model
+    with pytest.raises(InvariantError):
+        model.context()
+
+
+def test_model_keeps_its_tower_and_invariants():
+    model = KummerModel(build_sigma_h1())
+    assert sorted(model.powers) == [0, 1, 2, 3, 4, 5]
+    assert model.routes is model.routes
+    assert model.fixed_ranks is model.fixed_ranks

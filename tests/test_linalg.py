@@ -1,11 +1,13 @@
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummercert import linalg
 from kummercert.linalg import (
     BadDegreeError,
     ExactSolveError,
@@ -148,6 +150,104 @@ def test_snf_contract_randomized(rows, cols, data):
         )
     )
     assert_snf_contract(IntMatrix(entries))
+
+
+# ------------------------------------------------------------ integer matmul
+
+INT64_SAFE = 2**62
+
+
+def product_and_fallback(a, b):
+    """a @ b, and whether it took the exact pure-Python fallback."""
+    with mock.patch.object(
+        linalg, "_matmul_reference", wraps=linalg._matmul_reference
+    ) as reference:
+        product = a @ b
+    return product, reference.called
+
+
+def assert_exact_product(a, b, product):
+    assert product == linalg._matmul_reference(a, b)
+    assert product.shape == (a.rows, b.cols)
+    assert all(type(x) is int for row in product.data for x in row)
+
+
+def matrices(rows, cols, entries):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda data: IntMatrix(data, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data())
+def test_matmul_matches_reference_on_dense_matrices(n, k, m, data):
+    # 8- and 20-bit entries take the int64 path, 31 bits either, 70 bits the fallback.
+    bits = data.draw(st.sampled_from((8, 20, 31, 70)))
+    entries = st.integers(-(2**bits), 2**bits)
+    a = data.draw(matrices(n, k, entries))
+    b = data.draw(matrices(k, m, entries))
+    assert_exact_product(a, b, a @ b)
+
+
+def matrix_with_max(data, rows, cols, top):
+    """A matrix whose largest absolute entry is exactly ``top``."""
+    entries = data.draw(
+        st.lists(st.integers(-top, top), min_size=rows * cols, max_size=rows * cols)
+    )
+    entries[data.draw(st.integers(0, rows * cols - 1))] = data.draw(st.sampled_from((top, -top)))
+    return IntMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)], cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 2**31),
+    st.sampled_from(("below", "above", "beyond int64")),
+    st.data(),
+)
+def test_matmul_at_the_overflow_bound(k, b_max, side, data):
+    if side == "below":
+        a_max = (INT64_SAFE - 1) // (k * b_max)
+    elif side == "above":
+        a_max = -(-INT64_SAFE // (k * b_max))
+    else:
+        a_max = -(-(2**63) // (k * b_max))
+    a = matrix_with_max(data, data.draw(st.integers(1, 4)), k, a_max)
+    b = matrix_with_max(data, k, data.draw(st.integers(1, 4)), b_max)
+    product, fell_back = product_and_fallback(a, b)
+    assert fell_back == (side != "below")
+    assert_exact_product(a, b, product)
+    # Equal signs make one entry reach the bound itself.
+    top = IntMatrix([[a_max] * k])
+    col = IntMatrix([[b_max]] * k)
+    (value,) = (top @ col).data[0]
+    assert value == k * a_max * b_max
+    if side == "beyond int64":
+        assert value >= 2**63
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_matmul_empty_shapes(n):
+    assert IntMatrix.zeros(0, n) @ IntMatrix.zeros(n, 0) == IntMatrix.zeros(0, 0)
+    assert IntMatrix.zeros(n, 0) @ IntMatrix.zeros(0, 2) == IntMatrix.zeros(n, 2)
+    assert IntMatrix.zeros(0, 2) @ IntMatrix.zeros(2, n) == IntMatrix.zeros(0, n)
+
+
+@pytest.mark.parametrize(
+    "x, y, fast",
+    [
+        (0, 0, False),
+        (7, -6, True),
+        (2**31, 2**30, True),
+        (2**31, -(2**31), False),
+        (2**100, 0, False),
+        (-(2**40), 2**40, False),
+    ],
+)
+def test_matmul_one_by_one(x, y, fast):
+    product, fell_back = product_and_fallback(IntMatrix([[x]]), IntMatrix([[y]]))
+    assert product == IntMatrix([[x * y]])
+    assert fell_back == (not fast)
 
 
 # ----------------------------------------------------------- cokernel, kernel
