@@ -10,6 +10,15 @@ Both quotients are computed exactly: a saturated kernel basis from the
 Smith normal form, image generators rewritten in that basis by an exact
 integer solve, and the cokernel of the rewritten matrix.
 
+Each computation first splits the lattice into direct summands.  The
+connected components of the off-diagonal non-zero pattern of s partition
+the coordinates, and each component spans an s-stable coordinate
+sublattice, because s e_j only involves coordinates in the component of j.
+So s - 1 and N are block diagonal after a coordinate permutation, and the
+kernel, the quotients and hence every H^p are the direct sums of those of
+the blocks.  Smith normal form then runs block by block: the degree-4
+lattice of the rank-8 model has rank 70 but blocks of rank at most 16.
+
 There is also a closed form in terms of the mod-3 Jordan type of the
 action: (Z/3)^l1 in even degrees and (Z/3)^l2 in odd degrees.  The closed
 form is imported here as a theorem about lattices, not reproved; the
@@ -78,6 +87,36 @@ class LatticeAction:
         return self.matrix - IntMatrix.identity(self.rank)
 
 
+def _components(m: IntMatrix) -> list[list[int]]:
+    """Index sets of the connected components of m's off-diagonal non-zeros."""
+    parent = list(range(m.rows))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x and i != j:
+                parent[root(i)] = root(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(m.rows):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def _blocks(action: LatticeAction, *matrices: IntMatrix):
+    """The principal blocks of each matrix on the direct summands of the action.
+
+    Every matrix must be a polynomial in the generator, so that it is block
+    diagonal along the same coordinate components.
+    """
+    for idx in _components(action.matrix):
+        yield tuple(m.principal_submatrix(idx) for m in matrices)
+
+
 def _lattice_quotient(basis: IntMatrix, image_gens: IntMatrix) -> FinAbGroup:
     # basis columns span a saturated sublattice containing the image; the
     # solve is exact by construction, so a failure is a math bug upstream.
@@ -91,11 +130,13 @@ def cohomology_snf(action: LatticeAction, degree: int) -> FinAbGroup:
     """H^degree(Z/3, lattice) for degree >= 1, from first principles."""
     if degree < 1:
         raise BadDegreeError("positive degrees only; degree 0 is the fixed lattice")
-    delta = action.shifted()
-    norm = action.norm()
-    if degree % 2 == 0:
-        return _lattice_quotient(kernel_basis(delta), norm)
-    return _lattice_quotient(kernel_basis(norm), delta)
+    # Even degrees: ker(s - 1) / im(N); odd degrees: ker(N) / im(s - 1).
+    pair = (action.shifted(), action.norm())
+    if degree % 2:
+        pair = pair[::-1]
+    return FinAbGroup.zero().direct_sum(
+        *(_lattice_quotient(kernel_basis(k), image) for k, image in _blocks(action, *pair))
+    )
 
 
 def cohomology_closed_form(j: JordanType, parity: Literal["even", "odd"]) -> FinAbGroup:
@@ -111,7 +152,9 @@ def cohomology_closed_form(j: JordanType, parity: Literal["even", "odd"]) -> Fin
 
 def fixed_points(action: LatticeAction) -> FinAbGroup:
     """The fixed lattice ker(s - 1); free, being a saturated sublattice."""
-    return FinAbGroup.free(kernel_basis(action.shifted()).cols)
+    return FinAbGroup.free(
+        sum(kernel_basis(delta).cols for (delta,) in _blocks(action, action.shifted()))
+    )
 
 
 def jordan_type_mod3(action: LatticeAction) -> JordanType:

@@ -30,9 +30,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cohomology import LatticeAction, cohomology_snf, jordan_type_mod3
+from .cohomology import LatticeAction, cohomology_snf, fixed_points, jordan_type_mod3
 from .jordan import JordanType, wedge
-from .linalg import FinAbGroup, IntMatrix, InvariantError, exterior_power, kernel_basis
+from .linalg import FinAbGroup, IntMatrix, InvariantError, exterior_power
 
 __all__ = [
     "CertificateFailure",
@@ -149,7 +149,7 @@ class KummerModel:
     @cached_property
     def fixed_ranks(self) -> dict[int, int]:
         """Rank of the fixed sublattice of each exterior power."""
-        return {q: kernel_basis(power.shifted()).cols for q, power in self.powers.items()}
+        return {q: fixed_points(power).rank for q, power in self.powers.items()}
 
     @property
     def is_expected_model(self) -> bool:

@@ -25,8 +25,10 @@ order.  Two ``only_primes`` bounds on the same group do *not* merge
 automatically; intersecting them is the explicit ``combine_primes`` rule.
 
 Script files are JSON with sections ``spaces``, ``axioms``, ``steps`` and
-``goals``.  Reports have JSON and plain-text forms and are deterministic:
-checking the same script twice yields byte-identical output.
+``goals``; a missing key or a value of the wrong type (a degree that is
+not a JSON integer, say) is a ``ScriptFormatError``.  Reports have JSON
+and plain-text forms and are deterministic: checking the same script
+twice yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -93,6 +95,19 @@ class ScriptFormatError(LedgerError):
 # facts
 
 
+def _json_int(value, what: str) -> int:
+    # int("3"), int(2.5) and True would all pass a plain int() coercion.
+    if type(value) is not int:
+        raise ScriptFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ScriptFormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GroupRef:
     """A named cohomology group: H^degree of a declared space."""
@@ -110,7 +125,7 @@ class GroupRef:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GroupRef":
-        return cls(str(d["space"]), int(d["degree"]))
+        return cls(_json_str(d["space"], "space"), _json_int(d["degree"], "degree"))
 
 
 _CLAIM_KINDS = (
@@ -185,9 +200,11 @@ class Claim:
         if kind not in _CLAIM_KINDS:
             raise ScriptFormatError(f"unknown claim kind {kind!r}")
         if kind == "only_primes":
-            return cls.only_primes(d["primes"])
+            return cls.only_primes(_json_int(p, "prime") for p in d["primes"])
         if kind == "iso_to":
-            return cls.iso_to(FinAbGroup(int(d["rank"]), tuple(int(x) for x in d["torsion"])))
+            rank = _json_int(d["rank"], "rank")
+            torsion = tuple(_json_int(x, "invariant factor") for x in d["torsion"])
+            return cls.iso_to(FinAbGroup(rank, torsion))
         if kind in ("torsion_equals", "torsion_injects_into"):
             return cls(kind, other=GroupRef.from_json_dict(d["other"]))
         return cls(kind)
@@ -388,6 +405,17 @@ class Script:
 
 
 def parse_script(d: dict) -> Script:
+    """The script in a JSON document; raises ScriptFormatError if it is malformed."""
+    try:
+        return _parse_script(d)
+    except KeyError as exc:
+        raise ScriptFormatError(f"malformed script: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        # A section of the wrong shape, met while reading it.
+        raise ScriptFormatError(f"malformed script: {exc}") from None
+
+
+def _parse_script(d: dict) -> Script:
     if not isinstance(d, dict):
         raise ScriptFormatError("script must be a JSON object")
     if d.get("format") != SCRIPT_FORMAT:
@@ -395,8 +423,12 @@ def parse_script(d: dict) -> Script:
     spaces = []
     plain: set[str] = set()
     for s in d.get("spaces", ()):
-        name = str(s["name"])
-        pair = tuple(str(x) for x in s["pair"]) if "pair" in s else None
+        name = _json_str(s["name"], "space name")
+        pair = None
+        if "pair" in s:
+            pair = tuple(_json_str(x, "pair member") for x in s["pair"])
+            if len(pair) != 2:
+                raise ScriptFormatError(f"pair space {name!r} must name two spaces")
         spaces.append(SpaceDecl(name, pair))
         if pair is None:
             plain.add(name)
@@ -411,17 +443,12 @@ def parse_script(d: dict) -> Script:
                         f"pair space {s.name!r} refers to undeclared space {member!r}"
                     )
 
-    def ref(rd: dict) -> GroupRef:
-        r = GroupRef.from_json_dict(rd)
-        if r.space not in names:
-            raise ScriptFormatError(f"undeclared space {r.space!r}")
-        if r.degree < 0:
-            raise ScriptFormatError(f"negative degree in {r.render()}")
-        return r
-
     def fact(fd: dict) -> Fact:
         f = Fact.from_json_dict(fd)
-        ref(fd["subject"])
+        if f.subject.space not in names:
+            raise ScriptFormatError(f"undeclared space {f.subject.space!r}")
+        if f.subject.degree < 0:
+            raise ScriptFormatError(f"negative degree in {f.subject.render()}")
         if f.claim.other is not None and f.claim.other.space not in names:
             raise ScriptFormatError(f"undeclared space {f.claim.other.space!r}")
         return f
@@ -429,7 +456,7 @@ def parse_script(d: dict) -> Script:
     axioms = []
     seen_ax: set[str] = set()
     for a in d.get("axioms", ()):
-        aid = str(a["id"])
+        aid = _json_str(a["id"], "axiom id")
         if aid in seen_ax:
             raise ScriptFormatError(f"duplicate axiom id {aid!r}")
         seen_ax.add(aid)
@@ -444,16 +471,19 @@ def parse_script(d: dict) -> Script:
     steps = []
     seen_st: set[str] = set()
     for s in d.get("steps", ()):
-        sid = str(s["id"])
+        sid = _json_str(s["id"], "step id")
         if sid in seen_st:
             raise ScriptFormatError(f"duplicate step id {sid!r}")
         seen_st.add(sid)
+        params = s.get("params", {})
+        if not isinstance(params, dict):
+            raise ScriptFormatError(f"step {sid}: params must be a JSON object")
         steps.append(
             Step(
                 id=sid,
-                rule=str(s["rule"]),
+                rule=_json_str(s["rule"], "rule"),
                 cite=str(s.get("cite", "")),
-                params=dict(s.get("params", {})),
+                params=dict(params),
                 inputs=tuple(fact(fd) for fd in s.get("inputs", ())),
             )
         )
@@ -945,7 +975,10 @@ def check_script(script: Script) -> Report:
             step_records.append(
                 StepRecord(st.id, st.rule, True, None, tuple(f.render() for f in new_facts))
             )
-        except LedgerError as exc:
+        except Exception as exc:
+            # Not only LedgerError: a rule that trips over a malformed
+            # parameter (say a number where a list belongs) fails its step
+            # and the replay goes on.
             message = f"{type(exc).__name__}: {exc}"
             step_records.append(StepRecord(st.id, st.rule, False, message, ()))
             first_failure = first_failure or f"step {st.id}: {message}"

@@ -12,8 +12,9 @@ between threads.
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
 favour simplicity and verifiability over asymptotics: Gaussian elimination
 for ranks, minimal-pivot reduction for Smith normal form, Bareiss for
-determinants, and a Laplace-expansion table for compound (exterior-power)
-matrices.
+determinants, and column-wedge expansion over the non-zero entries for
+compound (exterior-power) matrices, so that sparse inputs cost in
+proportion to their non-zeros.
 """
 
 from __future__ import annotations
@@ -313,6 +314,18 @@ class IntMatrix:
         self.cols = cols
 
     @classmethod
+    def _trusted(cls, data: tuple, cols: int) -> "IntMatrix":
+        """Wrap rows this module built itself, skipping the constructor's checks.
+
+        ``data`` must already be a tuple of ``cols``-wide tuples of Python
+        ints; only results computed here qualify, never caller input.
+        """
+        m = object.__new__(cls)
+        m.data = data
+        m.cols = cols
+        return m
+
+    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         return cls(rows)
 
@@ -323,7 +336,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return cls._trusted(rows, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -360,14 +374,14 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.data, other.data)),
             self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.data, other.data)),
             self.cols,
         )
@@ -386,7 +400,7 @@ class IntMatrix:
             return _matmul_reference(self, other)
         # A non-zero bound caps every entry too, so the conversion is exact.
         product = np.array(self.data, dtype=np.int64) @ np.array(other.data, dtype=np.int64)
-        return IntMatrix(product.tolist(), other.cols)
+        return IntMatrix._trusted(tuple(map(tuple, product.tolist())), other.cols)
 
     def mat_pow(self, e: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -406,7 +420,13 @@ class IntMatrix:
 
     def column_submatrix(self, indices) -> "IntMatrix":
         idx = list(indices)
-        return IntMatrix(tuple(tuple(row[j] for j in idx) for row in self.data), len(idx))
+        return IntMatrix._trusted(tuple(tuple(row[j] for j in idx) for row in self.data), len(idx))
+
+    def principal_submatrix(self, indices) -> "IntMatrix":
+        """The rows and columns at the given indices, in the given order."""
+        idx = list(indices)
+        data = self.data
+        return IntMatrix._trusted(tuple(tuple(data[i][j] for j in idx) for i in idx), len(idx))
 
     def reduce_mod(self, p: int) -> FpMatrix:
         if not self.data:
@@ -464,7 +484,7 @@ def _matmul_reference(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         return IntMatrix.zeros(a.rows, b.cols)
     cols = tuple(zip(*b.data))
     out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.data)
-    return IntMatrix(out, b.cols)
+    return IntMatrix._trusted(out, b.cols)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -615,8 +635,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     for t in range(rank):
         if a[t][t] <= 0:
             raise InvariantError(f"Smith normal form pivot {t} is {a[t][t]}, not positive")
-    d = IntMatrix(a, ncols)
-    return IntMatrix(u, nrows), d, IntMatrix(v, ncols)
+    return (
+        IntMatrix._trusted(tuple(map(tuple, u)), nrows),
+        IntMatrix._trusted(tuple(map(tuple, a)), ncols),
+        IntMatrix._trusted(tuple(map(tuple, v)), ncols),
+    )
 
 
 def _diagonal(d: IntMatrix) -> list[int]:
@@ -680,44 +703,45 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
     Rows and columns are indexed by the size-k subsets of {0, ..., n-1} in
     lexicographic order (the same order on both sides), and the (S, T)
     entry is the determinant of the submatrix with rows S and columns T.
-    Minors are built level by level with Laplace expansion along the first
-    row, sharing all lower-order minors.
+    Column T = (t1 < ... < tk) is the wedge m e_t1 ^ ... ^ m e_tk, expanded
+    over the non-zero entries of each column of m.  Column prefixes are
+    visited depth first, so the partial wedge of every prefix
+    (t1, ..., tj) is built once and shared by all its extensions, and a
+    prefix whose wedge vanishes is dropped with all of them.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     n = m.rows
     if k < 0 or k > n:
         raise BadDegreeError(f"degree {k} out of range for a {n} x {n} matrix")
-    if k == 0:
-        return IntMatrix(((1,),), 1)
-    entries = m.data
-    prev: dict[tuple, int] = {}
-    for i in range(n):
-        row = entries[i]
-        for j in range(n):
-            if row[j]:
-                prev[((i,), (j,))] = row[j]
-    for size in range(2, k + 1):
-        cur: dict[tuple, int] = {}
-        col_sets = list(itertools.combinations(range(n), size))
-        for rows_idx in itertools.combinations(range(n), size):
-            top = rows_idx[0]
-            rest = rows_idx[1:]
-            top_row = entries[top]
-            for cols_idx in col_sets:
-                acc = 0
-                for pos, c in enumerate(cols_idx):
-                    coeff = top_row[c]
-                    if not coeff:
+    # Subsets are bit masks; e_i moves into place past the set bits above i.
+    columns = [
+        [(i, 1 << i, m.data[i][t]) for i in range(n) if m.data[i][t]] for t in range(n)
+    ]
+    index = {
+        sum(1 << i for i in subset): r
+        for r, subset in enumerate(itertools.combinations(range(n), k))
+    }
+    out = [[0] * len(index) for _ in index]
+    # (partial wedge, columns taken as a mask, next column, columns taken)
+    stack: list[tuple[dict[int, int], int, int, int]] = [({0: 1}, 0, 0, 0)]
+    while stack:
+        partial, prefix, start, depth = stack.pop()
+        if depth == k:
+            col = index[prefix]
+            for subset, coeff in partial.items():
+                out[index[subset]][col] = coeff
+            continue
+        for t in range(start, n - k + depth + 1):
+            wedge: dict[int, int] = {}
+            for subset, coeff in partial.items():
+                for i, bit, x in columns[t]:
+                    if subset & bit:
                         continue
-                    sub = prev.get((rest, cols_idx[:pos] + cols_idx[pos + 1 :]))
-                    if sub:
-                        acc += coeff * sub if pos % 2 == 0 else -coeff * sub
-                if acc:
-                    cur[(rows_idx, cols_idx)] = acc
-        prev = cur
-    subsets = list(itertools.combinations(range(n), k))
-    return IntMatrix(
-        tuple(tuple(prev.get((s, t), 0) for t in subsets) for s in subsets),
-        len(subsets),
-    )
+                    term = -coeff * x if (subset >> i).bit_count() & 1 else coeff * x
+                    key = subset | bit
+                    wedge[key] = wedge.get(key, 0) + term
+            wedge = {subset: coeff for subset, coeff in wedge.items() if coeff}
+            if wedge:
+                stack.append((wedge, prefix | 1 << t, t + 1, depth + 1))
+    return IntMatrix._trusted(tuple(map(tuple, out)), len(index))

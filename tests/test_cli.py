@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import kummercert
-from kummercert import kummer
+from kummercert import kummer, linalg
 from kummercert.cli import ConfigError, RunConfig, main, run
 from kummercert.ledger import script_to_json_dict, without_axiom, without_step
 from kummercert.linalg import IntMatrix, InvariantError
@@ -200,3 +200,76 @@ def test_full_cert_under_python_O_needs_no_asserts():
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
     # The golden report is the stdout of the same run without -O.
     assert proc.stdout == (GOLDEN / "full-cert-seed0.json").read_bytes()
+
+
+def test_full_cert_runs_smith_normal_form_on_blocks_only(monkeypatch):
+    # Lambda^3 and Lambda^4 of the rank-8 model have rank 56 and 70, but
+    # their direct summands have rank at most 16.
+    shapes = []
+    smith_normal_form = linalg.smith_normal_form
+
+    def counted(m):
+        shapes.append(m.shape)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    code, _, _ = run(RunConfig("full-cert"))
+    assert code == 0
+    assert shapes and max(max(shape) for shape in shapes) <= 16
+
+
+def shipped_json():
+    return json.loads(shipped_script_text())
+
+
+def first_step(script, rule):
+    return next(s for s in script["steps"] if s["rule"] == rule)
+
+
+MALFORMED_SCRIPTS = {
+    "space without name": lambda d: d["spaces"][0].pop("name"),
+    "axiom without facts": lambda d: d["axioms"][0].pop("facts"),
+    "step without rule": lambda d: d["steps"][0].pop("rule"),
+    "fact without claim": lambda d: d["goals"][0].pop("claim"),
+    "degree not a number": lambda d: d["goals"][0]["subject"].update(degree="zz"),
+    "degree a numeric string": lambda d: d["goals"][0]["subject"].update(degree="3"),
+    "degree a float": lambda d: d["axioms"][0]["facts"][0]["subject"].update(degree=1.5),
+    "degree a boolean": lambda d: d["axioms"][0]["facts"][0]["subject"].update(degree=True),
+    "space name a number": lambda d: d["spaces"][0].update(name=5),
+    "pair of three": lambda d: next(s for s in d["spaces"] if "pair" in s)["pair"].append("pt"),
+    "rank a string": lambda d: d["axioms"][0]["facts"][0]["claim"].update(rank="1"),
+    "primes not a list": lambda d: first_step(d, "combine_primes")["inputs"][0]["claim"].update(
+        primes=3
+    ),
+    "params a list": lambda d: d["steps"][0].update(params=[]),
+    "spaces an object": lambda d: d.update(spaces={"name": "X"}),
+    "axiom a list": lambda d: d["axioms"].append([]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SCRIPTS))
+def test_malformed_scripts_exit_2(name, tmp_path, capsys):
+    script = shipped_json()
+    MALFORMED_SCRIPTS[name](script)
+    path = tmp_path / "malformed.proof"
+    path.write_text(json.dumps(script))
+    assert main(["check-ledger", "--script", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_a_rule_exception_fails_only_its_step(tmp_path, capsys):
+    script = shipped_json()
+    step = first_step(script, "combine_primes")
+    step["params"]["first"] = 5
+    path = tmp_path / "bad-parameter.proof"
+    path.write_text(json.dumps(script))
+    assert main(["check-ledger", "--script", str(path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    validate(payload)
+    records = payload["ledger"]["steps"]
+    assert [r["id"] for r in records] == [s["id"] for s in script["steps"]]
+    failed = [r for r in records if not r["ok"]]
+    assert [r["id"] for r in failed] == [step["id"]]
+    assert failed[0]["error"].startswith("TypeError: ")
+    assert payload["ledger"]["first_failure"].startswith(f"step {step['id']}: TypeError")

@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from kummercert import linalg
 from kummercert.cohomology import (
     LatticeAction,
     cohomology_closed_form,
@@ -25,6 +27,15 @@ def test_action_validation():
         LatticeAction(IntMatrix([[2]]))
     with pytest.raises(ValueError):
         LatticeAction(IntMatrix([[1, 0]]))
+
+
+@pytest.mark.parametrize("bad", [[[2]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]])
+def test_action_validation_sees_every_block(bad):
+    # Splitting happens only where the cohomology is computed, so a single
+    # block that does not cube to the identity still sinks the action.
+    blocks = [ROTATION.matrix, IntMatrix(bad), REGULAR.matrix]
+    with pytest.raises(ValueError):
+        LatticeAction(IntMatrix.block_diag(blocks))
 
 
 def test_trivial_lattice():
@@ -112,3 +123,57 @@ def test_cross_validation_smoke():
         for degree in (1, 2, 3, 4):
             parity = "even" if degree % 2 == 0 else "odd"
             assert cohomology_snf(action, degree) == cohomology_closed_form(observed, parity)
+
+
+def snf_input_dims(fn, *args):
+    """fn(*args), and the largest side of any matrix put through Smith normal form."""
+    with mock.patch.object(
+        linalg, "smith_normal_form", wraps=linalg.smith_normal_form
+    ) as snf:
+        result = fn(*args)
+    return result, max((max(c.args[0].shape) for c in snf.call_args_list), default=0)
+
+
+def test_block_diagonal_action_is_the_direct_sum_of_its_blocks():
+    rng = random.Random(43)
+    for _ in range(10):
+        blocks = [random_conjugated_block_action(rng, max_rank=5)[0] for _ in range(3)]
+        whole = LatticeAction(IntMatrix.block_diag(b.matrix for b in blocks))
+        for degree in (1, 2):
+            group, largest = snf_input_dims(cohomology_snf, whole, degree)
+            assert group == FinAbGroup.zero().direct_sum(
+                *(cohomology_snf(b, degree) for b in blocks)
+            )
+            assert largest <= max(b.rank for b in blocks)
+        assert fixed_points(whole) == FinAbGroup.zero().direct_sum(
+            *(fixed_points(b) for b in blocks)
+        )
+
+
+def test_scrambled_block_sum_gives_the_same_groups():
+    rng = random.Random(47)
+    blocks = [ROTATION.matrix, TRIVIAL.matrix, REGULAR.matrix, ROTATION.matrix, TRIVIAL.matrix]
+    split = LatticeAction(IntMatrix.block_diag(blocks))
+    n = split.rank
+    while True:
+        p, pinv = random_unimodular(rng, n)
+        scrambled = LatticeAction(p @ split.matrix @ pinv)
+        if snf_input_dims(fixed_points, scrambled)[1] == n:
+            break  # the conjugate has no coordinate direct summand
+    for degree in (1, 2, 3, 4):
+        group, largest = snf_input_dims(cohomology_snf, scrambled, degree)
+        assert largest == n
+        assert group == cohomology_snf(split, degree)
+    assert cohomology_snf(split, 1) == FinAbGroup(0, (3, 3))
+    assert cohomology_snf(split, 2) == FinAbGroup(0, (3, 3))
+    assert fixed_points(scrambled) == fixed_points(split) == FinAbGroup.free(3)
+
+
+def test_identity_splits_into_one_by_one_blocks():
+    identity = LatticeAction(IntMatrix.identity(6))
+    for degree, expected in ((1, FinAbGroup.zero()), (2, FinAbGroup(0, (3,) * 6))):
+        group, largest = snf_input_dims(cohomology_snf, identity, degree)
+        assert group == expected
+        assert largest == 1
+    group, largest = snf_input_dims(fixed_points, identity)
+    assert group == FinAbGroup.free(6) and largest == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -250,6 +251,43 @@ def test_matmul_one_by_one(x, y, fast):
     assert fell_back == (not fast)
 
 
+# --------------------------------------------------- internally built results
+
+
+def assert_well_formed(m):
+    """m is what the public constructor would build from the same rows."""
+    assert type(m.data) is tuple
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
+    assert all(type(x) is int for row in m.data for x in row)
+    assert m == IntMatrix(m.data, m.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_internally_built_results_are_well_formed(n, k, m, data):
+    # 8-bit entries multiply in int64, 70-bit ones in the exact fallback.
+    entries = st.integers(-(2**70), 2**70) if data.draw(st.booleans()) else st.integers(-255, 255)
+    a = data.draw(matrices(n, k, entries))
+    b = data.draw(matrices(k, m, entries))
+    c = data.draw(matrices(n, k, entries))
+    square = data.draw(matrices(n, n, st.integers(-50, 50)))
+    columns = data.draw(st.lists(st.integers(0, k - 1), max_size=4)) if k else []
+    block = data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+    results = [
+        a @ b,
+        linalg._matmul_reference(a, b),
+        a + c,
+        a - c,
+        IntMatrix.identity(n),
+        a.column_submatrix(columns),
+        square.principal_submatrix(block),
+        *smith_normal_form(a),
+        exterior_power(square, data.draw(st.integers(0, n))),
+    ]
+    for result in results:
+        assert_well_formed(result)
+
+
 # ----------------------------------------------------------- cokernel, kernel
 
 
@@ -329,6 +367,37 @@ def test_exterior_top_is_determinant():
 def test_exterior_bad_degree():
     with pytest.raises(BadDegreeError):
         exterior_power(IntMatrix.identity(2), 3)
+
+
+def minors(m, k):
+    """The k-th compound matrix, one Bareiss determinant per entry."""
+    subsets = list(itertools.combinations(range(m.rows), k))
+    return IntMatrix(
+        [
+            [IntMatrix([[m.data[i][j] for j in cols] for i in rows], k).det() for cols in subsets]
+            for rows in subsets
+        ],
+        len(subsets),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.sampled_from(("dense", "sparse")), st.data())
+def test_exterior_power_matches_minors(n, density, data):
+    value = st.integers(-(10**6), 10**6)
+    if density == "sparse":
+        value = st.one_of(st.just(0), st.just(0), st.just(0), value)
+    m = data.draw(matrices(n, n, value))
+    k = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    assert exterior_power(m, k) == minors(m, k)
+
+
+@pytest.mark.parametrize("x", [0, 1, -7, 10**6, -(2**80)])
+def test_exterior_power_of_one_by_one(x):
+    m = IntMatrix([[x]])
+    assert exterior_power(m, 0) == IntMatrix([[1]])
+    assert exterior_power(m, 1) == m
+    assert exterior_power(IntMatrix.zeros(0, 0), 0) == minors(IntMatrix.zeros(0, 0), 0)
 
 
 def test_exterior_functoriality():
