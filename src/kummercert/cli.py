@@ -143,8 +143,15 @@ def _cmd_verify_proposition(config: RunConfig):
 
 
 def _cmd_check_ledger(config: RunConfig):
-    with open(config.script_path, "r", encoding="utf-8") as handle:
-        script = parse_script(json.load(handle))
+    try:
+        with open(config.script_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # Not UTF-8 text, or nested deeper than the decoder can follow.
+        raise ScriptFormatError(
+            f"{config.script_path} is not a readable JSON document: {type(exc).__name__}"
+        ) from None
+    script = parse_script(document)
     report = check_script(script)
     return report.passed, {"ledger": report.to_json_dict()}, report.to_text()
 

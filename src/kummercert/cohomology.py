@@ -18,6 +18,8 @@ So s - 1 and N are block diagonal after a coordinate permutation, and the
 kernel, the quotients and hence every H^p are the direct sums of those of
 the blocks.  Smith normal form then runs block by block: the degree-4
 lattice of the rank-8 model has rank 70 but blocks of rank at most 16.
+The split, the kernel of s - 1 and both parities are computed once per
+action and kept on it: the fixed lattice and every degree read them.
 
 There is also a closed form in terms of the mod-3 Jordan type of the
 action: (Z/3)^l1 in even degrees and (Z/3)^l2 in odd degrees.  The closed
@@ -29,6 +31,7 @@ randomized block-sum lattices, which is the guard for this dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 from .jordan import JordanType, jordan_type_unipotent
@@ -86,6 +89,30 @@ class LatticeAction:
     def shifted(self) -> IntMatrix:
         return self.matrix - IntMatrix.identity(self.rank)
 
+    @cached_property
+    def _summands(self) -> tuple[tuple[IntMatrix, IntMatrix, IntMatrix], ...]:
+        """Per coordinate direct summand: the blocks of s - 1 and N, and ker(s - 1).
+
+        Computed on first use and kept, so the fixed lattice and both
+        cohomology parities share one split and one kernel of s - 1.
+        """
+        delta, norm = self.shifted(), self._norm
+        out = []
+        for idx in _components(self.matrix):
+            delta_block = delta.principal_submatrix(idx)
+            out.append((delta_block, norm.principal_submatrix(idx), kernel_basis(delta_block)))
+        return tuple(out)
+
+    @cached_property
+    def _cohomology(self) -> tuple[FinAbGroup, FinAbGroup]:
+        """(even, odd) cohomology: ker(s - 1) / im(N) and ker(N) / im(s - 1)."""
+        even, odd = [], []
+        for delta, norm, fixed in self._summands:
+            even.append(_lattice_quotient(fixed, norm))
+            odd.append(_lattice_quotient(kernel_basis(norm), delta))
+        zero = FinAbGroup.zero()
+        return zero.direct_sum(*even), zero.direct_sum(*odd)
+
 
 def _components(m: IntMatrix) -> list[list[int]]:
     """Index sets of the connected components of m's off-diagonal non-zeros."""
@@ -107,16 +134,6 @@ def _components(m: IntMatrix) -> list[list[int]]:
     return list(groups.values())
 
 
-def _blocks(action: LatticeAction, *matrices: IntMatrix):
-    """The principal blocks of each matrix on the direct summands of the action.
-
-    Every matrix must be a polynomial in the generator, so that it is block
-    diagonal along the same coordinate components.
-    """
-    for idx in _components(action.matrix):
-        yield tuple(m.principal_submatrix(idx) for m in matrices)
-
-
 def _lattice_quotient(basis: IntMatrix, image_gens: IntMatrix) -> FinAbGroup:
     # basis columns span a saturated sublattice containing the image; the
     # solve is exact by construction, so a failure is a math bug upstream.
@@ -127,16 +144,14 @@ def _lattice_quotient(basis: IntMatrix, image_gens: IntMatrix) -> FinAbGroup:
 
 
 def cohomology_snf(action: LatticeAction, degree: int) -> FinAbGroup:
-    """H^degree(Z/3, lattice) for degree >= 1, from first principles."""
+    """H^degree(Z/3, lattice) for degree >= 1, from first principles.
+
+    Both parities are computed together on the first call for an action
+    and kept on it, so later degrees cost a lookup.
+    """
     if degree < 1:
         raise BadDegreeError("positive degrees only; degree 0 is the fixed lattice")
-    # Even degrees: ker(s - 1) / im(N); odd degrees: ker(N) / im(s - 1).
-    pair = (action.shifted(), action.norm())
-    if degree % 2:
-        pair = pair[::-1]
-    return FinAbGroup.zero().direct_sum(
-        *(_lattice_quotient(kernel_basis(k), image) for k, image in _blocks(action, *pair))
-    )
+    return action._cohomology[degree % 2]
 
 
 def cohomology_closed_form(j: JordanType, parity: Literal["even", "odd"]) -> FinAbGroup:
@@ -152,9 +167,7 @@ def cohomology_closed_form(j: JordanType, parity: Literal["even", "odd"]) -> Fin
 
 def fixed_points(action: LatticeAction) -> FinAbGroup:
     """The fixed lattice ker(s - 1); free, being a saturated sublattice."""
-    return FinAbGroup.free(
-        sum(kernel_basis(delta).cols for (delta,) in _blocks(action, action.shifted()))
-    )
+    return FinAbGroup.free(sum(fixed.cols for _, _, fixed in action._summands))
 
 
 def jordan_type_mod3(action: LatticeAction) -> JordanType:

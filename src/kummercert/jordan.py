@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linalg import BadDegreeError, FpMatrix, InvariantError
 
 __all__ = [
@@ -133,14 +131,14 @@ _BLOCK_MATRICES = {
 def realize(a: JordanType) -> FpMatrix:
     """Block-diagonal unipotent matrix over F_3 with the given Jordan type."""
     n = a.dimension
-    arr = np.zeros((n, n), dtype=np.int64)
+    rows = [[0] * n for _ in range(n)]
     offset = 0
     for size, count in ((1, a.l1), (2, a.l2), (3, a.l3)):
-        block = np.array(_BLOCK_MATRICES[size], dtype=np.int64)
         for _ in range(count):
-            arr[offset : offset + size, offset : offset + size] = block
+            for i, block_row in enumerate(_BLOCK_MATRICES[size]):
+                rows[offset + i][offset : offset + size] = block_row
             offset += size
-    return FpMatrix(3, arr)
+    return FpMatrix(3, rows, n)
 
 
 def jordan_type_unipotent(m: FpMatrix) -> JordanType:
@@ -160,7 +158,7 @@ def jordan_type_unipotent(m: FpMatrix) -> JordanType:
     powers = [x]
     for _ in range(p - 1):
         powers.append(powers[-1] @ x)
-    if powers[p - 1].array.any():
+    if not powers[p - 1].is_zero():
         raise NotUnipotentError(f"(m - 1)^{p} is non-zero")
     ranks = [n] + [powers[j - 1].rank() for j in range(1, p)] + [0, 0]
     counts = [ranks[q - 1] - 2 * ranks[q] + ranks[q + 1] for q in range(1, p + 1)]

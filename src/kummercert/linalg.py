@@ -1,29 +1,32 @@
-"""Exact dense linear algebra over prime fields and over the integers.
+"""Exact linear algebra over prime fields and over the integers, stdlib only.
 
-Matrices over F_p are backed by small numpy integer arrays; every value
-stays far below 2**63, so the arithmetic is exact.  Matrices over Z hold
-Python integers and are immune to overflow.  Their product runs in numpy
-int64 only when ``cols * max|a| * max|b| < 2**62`` proves that no partial
-sum can overflow, and otherwise falls back to an exact pure-Python loop;
-either way the entries stay Python integers.  All values are immutable and
-every operation is a pure function, so everything here is safe to share
-between threads.
+Matrices over Z hold Python integers and are immune to overflow.  Matrices
+over F_p (p < 256) keep each row as ``bytes`` with entries in [0, p).  Both
+multiply with one product over the non-zero entries: each non-zero a[i][k]
+meets only the non-zero entries of row k of b, so the block-sparse
+matrices this package builds cost in proportion to their non-zeros.  All
+values are immutable and every operation is a pure function, so everything
+here is safe to share between threads.
 
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
-favour simplicity and verifiability over asymptotics: Gaussian elimination
-for ranks, minimal-pivot reduction for Smith normal form, Bareiss for
-determinants, and column-wedge expansion over the non-zero entries for
-compound (exterior-power) matrices, so that sparse inputs cost in
-proportion to their non-zeros.
+favour simplicity and verifiability over asymptotics: sparse Gaussian
+elimination for ranks over F_p, minimal-pivot reduction for Smith normal
+form, Bareiss for determinants, and column-wedge expansion over the
+non-zero entries for compound (exterior-power) matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
-import numpy as np
+# Tuples of rows are built from lists, never from generators or map objects:
+# tuple() of an iterator of unknown length allocates a guessed size and then
+# resizes it, and CPython files each resized small tuple on the free list of
+# its new size, where such tuples pile up for the life of the process.
 
 __all__ = [
     "BadDegreeError",
@@ -183,49 +186,67 @@ class FinAbGroup:
 
 
 class FpMatrix:
-    """Dense matrix over the prime field F_p, entries reduced into [0, p)."""
+    """Dense matrix over the prime field F_p, p < 256, entries in [0, p).
 
-    __slots__ = ("p", "array")
+    Each row is a ``bytes`` object, so a matrix is compact and immutable
+    and a row's entries read back as small Python ints.
+    """
 
-    def __init__(self, p: int, array: np.ndarray):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        arr = np.asarray(array, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("a 2-dimensional array is required")
+    __slots__ = ("p", "data", "cols")
+
+    def __init__(self, p: int, rows, cols: int | None = None):
+        _check_modulus(p)
+        data = tuple([bytes([int(x) % p for x in row]) for row in rows])
+        if data:
+            width = len(data[0])
+            if any(len(row) != width for row in data):
+                raise ValueError("ragged rows")
+            if cols is not None and cols != width:
+                raise ValueError("explicit column count disagrees with the rows")
+            cols = width
+        elif cols is None:
+            cols = 0
         self.p = p
-        self.array = arr % p
-        self.array.setflags(write=False)
+        self.data = data
+        self.cols = cols
+
+    @classmethod
+    def _trusted(cls, p: int, data: tuple, cols: int) -> "FpMatrix":
+        """Wrap rows this module built itself, skipping the constructor's checks.
+
+        ``data`` must already be a tuple of ``cols``-long ``bytes`` rows
+        with entries in [0, p) for a checked modulus p.
+        """
+        m = object.__new__(cls)
+        m.p = p
+        m.data = data
+        m.cols = cols
+        return m
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "FpMatrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            return cls(p, np.zeros((0, 0), dtype=np.int64))
-        return cls(p, np.array(rows, dtype=np.int64))
+        return cls(p, rows)
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
+        _check_modulus(p)
+        return cls._trusted(p, tuple([bytes(i) + b"\x01" + bytes(n - i - 1) for i in range(n)]), n)
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
+        _check_modulus(p)
+        return cls._trusted(p, (bytes(cols),) * rows, cols)
 
     @property
     def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
+        return len(self.data)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FpMatrix)
             and self.p == other.p
-            and self.array.shape == other.array.shape
-            and bool((self.array == other.array).all())
+            and self.cols == other.cols
+            and self.data == other.data
         )
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
@@ -233,53 +254,106 @@ class FpMatrix:
             raise ValueError("mismatched moduli")
         if self.cols != other.rows:
             raise ValueError("mismatched shapes")
-        return FpMatrix(self.p, (self.array @ other.array) % self.p)
+        p = self.p
+        residues = _residue_table(p)
+        out = []
+        for acc in _product_rows(self.data, other.data, other.cols):
+            try:
+                out.append(bytes(acc).translate(residues))
+            except ValueError:  # a sum of 256 or more
+                out.append(bytes(map(p.__rmod__, acc)))
+        return FpMatrix._trusted(p, tuple(out), other.cols)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.array.shape != other.array.shape:
+        if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("mismatched operands")
-        return FpMatrix(self.p, (self.array - other.array) % self.p)
+        p = self.p
+        out = []
+        for r, s in zip(self.data, other.data):
+            row = bytearray(r)
+            for j, y in _nonzero(s):
+                row[j] = (row[j] - y) % p
+            out.append(bytes(row))
+        return FpMatrix._trusted(p, tuple(out), self.cols)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and bool(
-            (self.array == np.eye(self.rows, dtype=np.int64)).all()
-        )
+        return self.rows == self.cols and self == FpMatrix.identity(self.p, self.rows)
 
     def is_zero(self) -> bool:
-        return not self.array.any()
+        return not any(map(any, self.data))
 
     def rank(self) -> int:
-        """Row rank by exact Gaussian elimination over F_p."""
-        a = self.array.copy()
+        """Row rank by exact Gaussian elimination over F_p.
+
+        Rows are reduced one at a time against the pivot rows found so far;
+        every row is a dict of its non-zero entries, so the work follows
+        the non-zeros and their fill-in rather than the full width.
+        """
         p = self.p
-        nrows, ncols = a.shape
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pivots = np.nonzero(a[r:, c])[0]
-            if pivots.size == 0:
-                continue
-            i = r + int(pivots[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            inv = pow(int(a[r, c]), -1, p)
-            a[r] = (a[r] * inv) % p
-            below = a[r + 1 :]
-            if below.size:
-                a[r + 1 :] = (below - np.outer(below[:, c], a[r])) % p
-            r += 1
-        return r
+        # Pivot column -> pivot row, scaled to 1 there and zero before it.
+        pivots: dict[int, dict[int, int]] = {}
+        for entries in self.data:
+            row = dict(_nonzero(entries))
+            while row:
+                c = min(row)
+                pivot = pivots.get(c)
+                if pivot is None:
+                    inv = pow(row[c], -1, p)
+                    pivots[c] = {j: x * inv % p for j, x in row.items()}
+                    break
+                f = row[c]
+                for j, x in pivot.items():
+                    y = (row.get(j, 0) - f * x) % p
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+        return len(pivots)
 
     def lift(self) -> "IntMatrix":
         """The entries read as integers in [0, p)."""
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in self.array), self.cols)
+        return IntMatrix._trusted(tuple([tuple(row) for row in self.data]), self.cols)
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.array]
+        return [list(row) for row in self.data]
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.to_lists()!r})"
+
+
+def _check_modulus(p: int) -> None:
+    if p >= 256:
+        raise ValueError(f"modulus {p} does not fit a byte; F_p matrices need p < 256")
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
+@functools.cache
+def _residue_table(p: int) -> bytes:
+    """The byte v mapped to v % p, to reduce a row of small sums with translate."""
+    return bytes(v % p for v in range(256))
+
+
+def _nonzero(row):
+    """(index, value) for the non-zero entries of a row, in order."""
+    return zip(itertools.compress(itertools.count(), row), filter(None, row))
+
+
+def _product_rows(a_rows, b_rows, width: int):
+    """The rows of the exact product a @ b, as lists of Python ints.
+
+    Each non-zero a[i][k] is multiplied into the non-zero entries of row k
+    of b, so the work is the number of non-zero products rather than
+    rows * inner * width.  Serves IntMatrix and (before reduction mod p)
+    FpMatrix alike.
+    """
+    b_nonzero = [list(_nonzero(row)) for row in b_rows]
+    for row in a_rows:
+        acc = [0] * width
+        for k, x in _nonzero(row):
+            for j, y in b_nonzero[k]:
+                acc[j] += x * y
+        yield acc
 
 
 def rank_fp(m: FpMatrix) -> int:
@@ -291,7 +365,14 @@ def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     """Kronecker product with the left factor as the outer (block) index."""
     if a.p != b.p:
         raise ValueError("mismatched moduli")
-    return FpMatrix(a.p, np.kron(a.array, b.array) % a.p)
+    p = a.p
+    zero = bytes(b.cols)
+    # scaled[x][k] is x * (row k of b), for each value x that occurs in a.
+    scaled = {0: (zero,) * b.rows, 1: b.data}
+    for x in set().union(*a.data) - {0, 1}:
+        scaled[x] = tuple([bytes([x * y % p for y in row]) for row in b.data])
+    out = [b"".join([scaled[x][k] for x in row]) for row in a.data for k in range(b.rows)]
+    return FpMatrix._trusted(p, tuple(out), a.cols * b.cols)
 
 
 class IntMatrix:
@@ -300,7 +381,7 @@ class IntMatrix:
     __slots__ = ("data", "cols")
 
     def __init__(self, rows, cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple([tuple([int(x) for x in row]) for row in rows])
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -336,12 +417,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        rows = tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
         return cls._trusted(rows, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols)
+        return cls(((0,) * cols,) * rows, cols)
 
     @classmethod
     def block_diag(cls, blocks) -> "IntMatrix":
@@ -375,14 +456,14 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
         return IntMatrix._trusted(
-            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.data, other.data)),
+            tuple([tuple(list(map(operator.add, r, s))) for r, s in zip(self.data, other.data)]),
             self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
         return IntMatrix._trusted(
-            tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.data, other.data)),
+            tuple([tuple(list(map(operator.sub, r, s))) for r, s in zip(self.data, other.data)]),
             self.cols,
         )
 
@@ -393,14 +474,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("mismatched shapes")
-        if not (self.rows and self.cols and other.cols):
-            return _matmul_reference(self, other)
-        bound = self.cols * _max_abs(self) * _max_abs(other)
-        if not 0 < bound < _INT64_SAFE:
-            return _matmul_reference(self, other)
-        # A non-zero bound caps every entry too, so the conversion is exact.
-        product = np.array(self.data, dtype=np.int64) @ np.array(other.data, dtype=np.int64)
-        return IntMatrix._trusted(tuple(map(tuple, product.tolist())), other.cols)
+        rows = _product_rows(self.data, other.data, other.cols)
+        return IntMatrix._trusted(tuple([tuple(acc) for acc in rows]), other.cols)
 
     def mat_pow(self, e: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -420,18 +495,20 @@ class IntMatrix:
 
     def column_submatrix(self, indices) -> "IntMatrix":
         idx = list(indices)
-        return IntMatrix._trusted(tuple(tuple(row[j] for j in idx) for row in self.data), len(idx))
+        data = [tuple([row[j] for j in idx]) for row in self.data]
+        return IntMatrix._trusted(tuple(data), len(idx))
 
     def principal_submatrix(self, indices) -> "IntMatrix":
         """The rows and columns at the given indices, in the given order."""
         idx = list(indices)
         data = self.data
-        return IntMatrix._trusted(tuple(tuple(data[i][j] for j in idx) for i in idx), len(idx))
+        return IntMatrix._trusted(tuple([tuple([data[i][j] for j in idx]) for i in idx]), len(idx))
 
     def reduce_mod(self, p: int) -> FpMatrix:
-        if not self.data:
-            return FpMatrix.zeros(p, 0, self.cols)
-        return FpMatrix.from_rows(p, [[x % p for x in row] for row in self.data])
+        _check_modulus(p)
+        reduce = p.__rmod__  # reduce(x) is x % p
+        data = [bytes(map(reduce, row)) for row in self.data]
+        return FpMatrix._trusted(p, tuple(data), self.cols)
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -469,17 +546,8 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-# Below this bound on cols * max|a| * max|b| no partial sum of a matrix
-# product leaves int64, whose range is [-2**63, 2**63).
-_INT64_SAFE = 2**62
-
-
-def _max_abs(m: IntMatrix) -> int:
-    return max(map(abs, itertools.chain.from_iterable(m.data)))
-
-
 def _matmul_reference(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The exact product in Python integers; the oracle for the int64 path."""
+    """The textbook row-by-column product; the test oracle for ``@``."""
     if a.cols == 0:
         return IntMatrix.zeros(a.rows, b.cols)
     cols = tuple(zip(*b.data))
@@ -636,9 +704,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if a[t][t] <= 0:
             raise InvariantError(f"Smith normal form pivot {t} is {a[t][t]}, not positive")
     return (
-        IntMatrix._trusted(tuple(map(tuple, u)), nrows),
-        IntMatrix._trusted(tuple(map(tuple, a)), ncols),
-        IntMatrix._trusted(tuple(map(tuple, v)), ncols),
+        IntMatrix._trusted(tuple([tuple(row) for row in u]), nrows),
+        IntMatrix._trusted(tuple([tuple(row) for row in a]), ncols),
+        IntMatrix._trusted(tuple([tuple(row) for row in v]), ncols),
     )
 
 
@@ -744,4 +812,4 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
             wedge = {subset: coeff for subset, coeff in wedge.items() if coeff}
             if wedge:
                 stack.append((wedge, prefix | 1 << t, t + 1, depth + 1))
-    return IntMatrix._trusted(tuple(map(tuple, out)), len(index))
+    return IntMatrix._trusted(tuple([tuple(row) for row in out]), len(index))

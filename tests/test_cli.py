@@ -1,4 +1,6 @@
+import contextlib
 import importlib.resources
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,20 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kummercert
 from kummercert import kummer, linalg
 from kummercert.cli import ConfigError, RunConfig, main, run
-from kummercert.ledger import script_to_json_dict, without_axiom, without_step
+from kummercert.ledger import (
+    SCRIPT_FORMAT,
+    ScriptFormatError,
+    parse_script,
+    script_to_json_dict,
+    without_axiom,
+    without_step,
+)
 from kummercert.linalg import IntMatrix, InvariantError
 from kummercert.proofscript import shipped_script_text
 
@@ -187,18 +198,43 @@ def test_full_cert_builds_each_lattice_once(monkeypatch):
     assert mat_pows == []
 
 
-def test_full_cert_under_python_O_needs_no_asserts():
+def run_python(*args):
+    """A fresh interpreter on this checkout's sources, run to completion."""
     env = dict(os.environ)
     src = str(Path(kummercert.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kummercert.cli", "full-cert", "--format", "json"],
-        env=env,
-        capture_output=True,
-        timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+def test_full_cert_under_python_O_needs_no_asserts():
+    proc = run_python("-O", "-m", "kummercert.cli", "full-cert", "--format", "json")
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
     # The golden report is the stdout of the same run without -O.
+    assert proc.stdout == (GOLDEN / "full-cert-seed0.json").read_bytes()
+
+
+# Exit 9 if numpy was imported, else the exit code of the code before it.
+NUMPY_CHECK = """
+import sys
+if any(name == "numpy" or name.startswith("numpy.") for name in sys.modules):
+    sys.exit(9)
+"""
+FULL_CERT_AS_MAIN = """
+import runpy, sys
+sys.argv = ["kummercert", "full-cert", "--format", "json"]
+try:
+    runpy.run_module("kummercert.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+"""
+
+
+def test_numpy_stays_out_of_the_certify_path():
+    proc = run_python("-c", "import kummercert.cli" + NUMPY_CHECK)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    proc = run_python("-c", FULL_CERT_AS_MAIN + NUMPY_CHECK)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
     assert proc.stdout == (GOLDEN / "full-cert-seed0.json").read_bytes()
 
 
@@ -258,6 +294,19 @@ def test_malformed_scripts_exit_2(name, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", "[".encode() * 100_000, b'{"format": ' + b"[" * 5000 + b"]" * 5000 + b"}"],
+    ids=["not utf-8", "deep array", "deep value"],
+)
+def test_unreadable_documents_exit_2(content, tmp_path, capsys):
+    path = tmp_path / "unreadable.proof"
+    path.write_bytes(content)
+    assert main(["check-ledger", "--script", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_a_rule_exception_fails_only_its_step(tmp_path, capsys):
     script = shipped_json()
     step = first_step(script, "combine_primes")
@@ -273,3 +322,104 @@ def test_a_rule_exception_fails_only_its_step(tmp_path, capsys):
     assert [r["id"] for r in failed] == [step["id"]]
     assert failed[0]["error"].startswith("TypeError: ")
     assert payload["ledger"]["first_failure"].startswith(f"step {step['id']}: TypeError")
+
+
+# ------------------------------------------------------- check-ledger fuzzing
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def script_shaped():
+    """Arbitrary JSON under the script format's own keys."""
+    return st.fixed_dictionaries(
+        {"format": st.just(SCRIPT_FORMAT)},
+        optional={key: JSON_VALUES for key in ("spaces", "axioms", "steps", "goals")},
+    )
+
+
+def mutate(data, doc, names):
+    """Replace, delete or duplicate one node of ``doc``, found by a random walk.
+
+    A replacement is arbitrary JSON, a small integer or one of ``names``.
+    """
+    replacement = st.one_of(JSON_VALUES, st.integers(-2, 12), st.sampled_from(names))
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.integers(0, 4)):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(("replace", "delete", "duplicate")))
+        if action == "replace":
+            node[key] = data.draw(replacement)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, json.loads(json.dumps(child)))
+        else:
+            node[data.draw(st.text(max_size=6))] = json.loads(json.dumps(child))
+        return
+
+
+def check_ledger_exit_code(doc, directory):
+    return check_ledger_exit_code_of_bytes(json.dumps(doc).encode(), directory)
+
+
+def check_ledger_exit_code_of_bytes(content, directory):
+    path = directory / "fuzzed.proof"
+    path.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["check-ledger", "--script", str(path)])
+
+
+def assert_contract(doc, code):
+    # Exit 2 is for a document that does not parse, and only for that.
+    try:
+        parse_script(doc)
+    except ScriptFormatError:
+        assert code == 2
+    else:
+        assert code in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+FUZZ = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def test_check_ledger_passes_the_unmutated_script(fuzz_dir):
+    assert check_ledger_exit_code(shipped_json(), fuzz_dir) == 0
+
+
+@FUZZ
+@given(st.one_of(JSON_VALUES, script_shaped()))
+def test_check_ledger_survives_arbitrary_json(fuzz_dir, doc):
+    assert_contract(doc, check_ledger_exit_code(doc, fuzz_dir))
+
+
+@FUZZ
+@given(st.integers(1, 3), st.data())
+def test_check_ledger_survives_mutated_scripts(fuzz_dir, mutations, data):
+    doc = shipped_json()
+    names = [space["name"] for space in doc["spaces"]]
+    for _ in range(mutations):
+        mutate(data, doc, names)
+    assert_contract(doc, check_ledger_exit_code(doc, fuzz_dir))
+
+
+@FUZZ
+@given(st.one_of(st.binary(), st.text().map(str.encode)))
+def test_check_ledger_survives_arbitrary_bytes(fuzz_dir, content):
+    assert check_ledger_exit_code_of_bytes(content, fuzz_dir) in (0, 1, 2)

@@ -126,7 +126,10 @@ def test_cross_validation_smoke():
 
 
 def snf_input_dims(fn, *args):
-    """fn(*args), and the largest side of any matrix put through Smith normal form."""
+    """fn(*args), and the largest side of any matrix put through Smith normal form.
+
+    The largest side is 0 when the call made no Smith normal form at all.
+    """
     with mock.patch.object(
         linalg, "smith_normal_form", wraps=linalg.smith_normal_form
     ) as snf:
@@ -160,9 +163,11 @@ def test_scrambled_block_sum_gives_the_same_groups():
         scrambled = LatticeAction(p @ split.matrix @ pinv)
         if snf_input_dims(fixed_points, scrambled)[1] == n:
             break  # the conjugate has no coordinate direct summand
+    # The first call computes both parities on the whole lattice; the
+    # later degrees read them off the action without any SNF.
     for degree in (1, 2, 3, 4):
         group, largest = snf_input_dims(cohomology_snf, scrambled, degree)
-        assert largest == n
+        assert largest == (n if degree == 1 else 0)
         assert group == cohomology_snf(split, degree)
     assert cohomology_snf(split, 1) == FinAbGroup(0, (3, 3))
     assert cohomology_snf(split, 2) == FinAbGroup(0, (3, 3))
@@ -174,6 +179,23 @@ def test_identity_splits_into_one_by_one_blocks():
     for degree, expected in ((1, FinAbGroup.zero()), (2, FinAbGroup(0, (3,) * 6))):
         group, largest = snf_input_dims(cohomology_snf, identity, degree)
         assert group == expected
-        assert largest == 1
+        # Only the first call on the action runs Smith normal form.
+        assert largest == (1 if degree == 1 else 0)
     group, largest = snf_input_dims(fixed_points, identity)
+    assert group == FinAbGroup.free(6) and largest == 0
+    group, largest = snf_input_dims(fixed_points, LatticeAction(IntMatrix.identity(6)))
     assert group == FinAbGroup.free(6) and largest == 1
+
+
+def test_both_parities_are_computed_once_per_action():
+    rng = random.Random(53)
+    action, counts = random_conjugated_block_action(rng, max_rank=9)
+    first, _ = snf_input_dims(cohomology_snf, action, 3)
+    for degree in (1, 2, 3, 4, 5, 6):
+        group, largest = snf_input_dims(cohomology_snf, action, degree)
+        assert largest == 0
+        fresh = cohomology_snf(LatticeAction(action.matrix), degree)
+        parity = "even" if degree % 2 == 0 else "odd"
+        assert group == fresh == cohomology_closed_form(counts, parity)
+    assert first == cohomology_snf(action, 1)
+    assert snf_input_dims(fixed_points, action)[1] == 0

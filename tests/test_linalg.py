@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -155,16 +154,9 @@ def test_snf_contract_randomized(rows, cols, data):
 
 # ------------------------------------------------------------ integer matmul
 
+# A bound just inside int64.  The tests below put entry products on both
+# sides of it and beyond int64; the product must be exact throughout.
 INT64_SAFE = 2**62
-
-
-def product_and_fallback(a, b):
-    """a @ b, and whether it took the exact pure-Python fallback."""
-    with mock.patch.object(
-        linalg, "_matmul_reference", wraps=linalg._matmul_reference
-    ) as reference:
-        product = a @ b
-    return product, reference.called
 
 
 def assert_exact_product(a, b, product):
@@ -182,7 +174,6 @@ def matrices(rows, cols, entries):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data())
 def test_matmul_matches_reference_on_dense_matrices(n, k, m, data):
-    # 8- and 20-bit entries take the int64 path, 31 bits either, 70 bits the fallback.
     bits = data.draw(st.sampled_from((8, 20, 31, 70)))
     entries = st.integers(-(2**bits), 2**bits)
     a = data.draw(matrices(n, k, entries))
@@ -215,9 +206,7 @@ def test_matmul_at_the_overflow_bound(k, b_max, side, data):
         a_max = -(-(2**63) // (k * b_max))
     a = matrix_with_max(data, data.draw(st.integers(1, 4)), k, a_max)
     b = matrix_with_max(data, k, data.draw(st.integers(1, 4)), b_max)
-    product, fell_back = product_and_fallback(a, b)
-    assert fell_back == (side != "below")
-    assert_exact_product(a, b, product)
+    assert_exact_product(a, b, a @ b)
     # Equal signs make one entry reach the bound itself.
     top = IntMatrix([[a_max] * k])
     col = IntMatrix([[b_max]] * k)
@@ -235,7 +224,7 @@ def test_matmul_empty_shapes(n):
 
 
 @pytest.mark.parametrize(
-    "x, y, fast",
+    "x, y, inside",
     [
         (0, 0, False),
         (7, -6, True),
@@ -245,10 +234,120 @@ def test_matmul_empty_shapes(n):
         (-(2**40), 2**40, False),
     ],
 )
-def test_matmul_one_by_one(x, y, fast):
-    product, fell_back = product_and_fallback(IntMatrix([[x]]), IntMatrix([[y]]))
+def test_matmul_one_by_one(x, y, inside):
+    # ``inside``: the product is non-zero and below INT64_SAFE in absolute
+    # value; the cases straddle that bound and its zero edge.
+    a, b = IntMatrix([[x]]), IntMatrix([[y]])
+    product = a @ b
     assert product == IntMatrix([[x * y]])
-    assert fell_back == (not fast)
+    assert_exact_product(a, b, product)
+    (value,) = product.data[0]
+    assert inside == (0 < abs(value) < INT64_SAFE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+def test_matmul_on_sparse_input(sizes, data):
+    # Block-diagonal factors with some all-zero rows and columns: the
+    # product only ever visits non-zeros, and must still be exact.
+    entries = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
+    a = IntMatrix.block_diag(data.draw(matrices(n, n, entries)) for n in sizes)
+    b = IntMatrix.block_diag(data.draw(matrices(n, n, entries)) for n in sizes)
+    blank = data.draw(st.lists(st.integers(0, a.rows - 1), max_size=3))
+    a = IntMatrix([[0] * a.cols if i in blank else row for i, row in enumerate(a.data)])
+    product = a @ b
+    assert_exact_product(a, b, product)
+    assert all(not any(product.data[i]) for i in blank)
+
+
+# ------------------------------------------------------------ F_p kernels
+
+
+def dense_rank(rows, p):
+    """Rank over F_p by textbook dense Gaussian elimination on lists."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def dense_product(a, b, cols, p):
+    """The row-by-column product of two list matrices, reduced mod p."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) % p for j in range(cols)] for row in a]
+
+
+def fp_lists(p, rows, cols):
+    """Lists over F_p with a good share of zeros and some blank rows and columns."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(0, p - 1))
+    return st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).flatmap(
+        lambda m: st.tuples(st.just(m), st.sets(st.integers(0, max(rows, cols))), st.booleans())
+    ).map(lambda t: blank_out(*t))
+
+
+def blank_out(m, lines, columns):
+    """Zero the rows (or, if ``columns``, the columns) whose index is in ``lines``."""
+    if columns:
+        return [[0 if j in lines else x for j, x in enumerate(row)] for row in m]
+    return [[0] * len(row) if i in lines else row for i, row in enumerate(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 251)),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.data(),
+)
+def test_fp_product_and_rank_match_dense_lists(p, n, k, m, data):
+    a = data.draw(fp_lists(p, n, k))
+    b = data.draw(fp_lists(p, k, m))
+    fa, fb = FpMatrix(p, a, k), FpMatrix(p, b, m)
+    product = fa @ fb
+    assert (product.rows, product.cols) == (n, m)
+    assert product.to_lists() == dense_product(a, b, m, p)
+    assert fa.rank() == dense_rank(a, p)
+    assert product.rank() == dense_rank(product.to_lists(), p)
+    assert all(type(row) is bytes and len(row) == m for row in product.data)
+    assert kronecker(fa, fb).to_lists() == [
+        [x * y % p for x in row_a for y in row_b] for row_a in a for row_b in b
+    ]
+    assert fa.lift().reduce_mod(p) == fa and fa.lift().to_lists() == a
+    assert (fa - fa).is_zero() and fa.is_zero() == (not any(map(any, a)))
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 256, 257, 65537])
+def test_fp_modulus_must_be_a_prime_below_256(p):
+    with pytest.raises(ValueError):
+        FpMatrix(p, [[1]])
+    with pytest.raises(ValueError):
+        FpMatrix.identity(p, 2)
+    with pytest.raises(ValueError):
+        FpMatrix.zeros(p, 1, 1)
+    with pytest.raises(ValueError):
+        IntMatrix([[1]]).reduce_mod(p)
+
+
+def test_fp_entries_are_reduced():
+    m = FpMatrix(5, [[-1, 7], [10, 3]])
+    assert m.to_lists() == [[4, 2], [0, 3]]
+    assert m == IntMatrix([[-1, 7], [10, 3]]).reduce_mod(5)
+    assert (m - m).is_zero() and not m.is_zero()
+    assert FpMatrix.identity(251, 3).is_identity()
+    assert FpMatrix(3, [], 4).cols == 4 and FpMatrix(3, [], 4).rows == 0
 
 
 # --------------------------------------------------- internally built results
@@ -265,7 +364,6 @@ def assert_well_formed(m):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
 def test_internally_built_results_are_well_formed(n, k, m, data):
-    # 8-bit entries multiply in int64, 70-bit ones in the exact fallback.
     entries = st.integers(-(2**70), 2**70) if data.draw(st.booleans()) else st.integers(-255, 255)
     a = data.draw(matrices(n, k, entries))
     b = data.draw(matrices(k, m, entries))
@@ -427,7 +525,8 @@ def test_kronecker_shape_and_order():
     k = kronecker(a, b)
     assert (k.rows, k.cols) == (6, 6)
     # Left factor is the outer block index.
-    assert k.array[0, 3] == 1 and k.array[0, 1] == 0
+    assert k.data[0][3] == 1 and k.data[0][1] == 0
+    assert k.to_lists()[1][4] == 1 and k.to_lists()[3][0] == 0
 
 
 def test_lift_reduce_roundtrip():
