@@ -20,14 +20,7 @@ from .cohomology import (
     random_conjugated_block_action,
 )
 from .jordan import JordanType
-from .kummer import (
-    CertificateFailure,
-    KummerModel,
-    build_model,
-    build_sigma_h1,
-    ell_table,
-    ell_table_routes,
-)
+from .kummer import CertificateFailure, build_model
 from .ledger import ScriptFormatError, check_script, leaf_facts_from_computation, parse_script
 from .linalg import InvariantError
 from .proofscript import load_shipped_script
@@ -74,7 +67,7 @@ def _jordan_row(t: JordanType) -> str:
 
 
 def _cmd_ell_table(config: RunConfig):
-    table = ell_table()
+    table = build_model().ell
     payload = {
         "ell_table": {
             str(k): {**t.to_json_dict(), "dimension": t.dimension, "provenance": "computed"}
@@ -87,11 +80,12 @@ def _cmd_ell_table(config: RunConfig):
 
 
 def _cmd_cohomology(config: RunConfig):
-    model = KummerModel(build_sigma_h1(), degrees=(0, 1, 2, 3, 4))
+    model = build_model()
     rows = []
     ok = True
     lines = ["group cohomology H^p(A3, H^q) of the exterior-power lattices:"]
-    for q, coeff in model.powers.items():
+    for q in range(5):
+        coeff = model.powers[q]
         jtype = jordan_type_mod3(coeff)
         for p in (1, 2):
             group = cohomology_snf(coeff, p)
@@ -116,7 +110,7 @@ def _cmd_cohomology(config: RunConfig):
 
 
 def _cmd_verify_proposition(config: RunConfig):
-    matrix_route, closed_route = ell_table_routes()
+    matrix_route, closed_route = build_model().routes
     rows = []
     ok = True
     lines = ["block-count table, both computation routes against the reference:"]

@@ -71,7 +71,6 @@ _EXPECTED_H1_TYPE = JordanType(0, 4, 0)
 # the vanishing certificate 0..4 and the fixed-rank table 0..5.
 TOWER_DEGREES = (0, 1, 2, 3, 4, 5)
 _ELL_DEGREES = (1, 2, 3, 4)
-_VANISHING_DEGREES = tuple(sorted({q for _, q in VANISHING_PAIRS}))
 
 
 def build_sigma_h1() -> LatticeAction:
@@ -98,14 +97,14 @@ class VanishingEntry:
 class KummerModel:
     """One order-3 action and its exterior powers, each built exactly once.
 
-    The powers for the requested degrees are built with the model; every
+    The powers Lambda^q for q = 0..5 are built with the model; every
     invariant read off them is computed on first use and then kept, so the
     commands and the context that share a model never recompute a lattice.
     """
 
-    def __init__(self, action: LatticeAction, degrees: tuple[int, ...] = TOWER_DEGREES):
+    def __init__(self, action: LatticeAction):
         self.action = action
-        self.powers = {q: coefficient_action(action, q) for q in degrees}
+        self.powers = {q: coefficient_action(action, q) for q in TOWER_DEGREES}
 
     @cached_property
     def base_type(self) -> JordanType:
@@ -172,37 +171,31 @@ class KummerModel:
         )
 
 
-def build_model() -> KummerModel:
-    """The rank-8 model with its whole tower, Lambda^q for q = 0..5."""
-    return KummerModel(build_sigma_h1())
-
-
-def _model(action: LatticeAction | None, degrees: tuple[int, ...]) -> KummerModel:
-    return KummerModel(build_sigma_h1() if action is None else action, degrees)
+def build_model(action: LatticeAction | None = None) -> KummerModel:
+    """The model of ``action`` (the rank-8 action by default), Lambda^q for q = 0..5."""
+    return KummerModel(build_sigma_h1() if action is None else action)
 
 
 def ell_table_routes(
     action: LatticeAction | None = None,
 ) -> tuple[dict[int, JordanType], dict[int, JordanType]]:
     """Block counts for k = 1..4 by the matrix route and by the closed form."""
-    return _model(action, _ELL_DEGREES).routes
+    return build_model(action).routes
 
 
 def ell_table(action: LatticeAction | None = None) -> dict[int, JordanType]:
     """The certified block-count table; both routes must agree."""
-    return _model(action, _ELL_DEGREES).ell
+    return build_model(action).ell
 
 
 def vanishing_certificate(action: LatticeAction | None = None) -> tuple[VanishingEntry, ...]:
     """Compute all certificate groups; raise on the first non-zero entry."""
-    return _model(action, _VANISHING_DEGREES).vanishing
+    return build_model(action).vanishing
 
 
-def fixed_rank_table(
-    action: LatticeAction | None = None, degrees: tuple[int, ...] = TOWER_DEGREES
-) -> dict[int, int]:
-    """Rank of the fixed sublattice of the degree-q exterior power."""
-    return _model(action, degrees).fixed_ranks
+def fixed_rank_table(action: LatticeAction | None = None) -> dict[int, int]:
+    """Rank of the fixed sublattice of the degree-q exterior power, q = 0..5."""
+    return build_model(action).fixed_ranks
 
 
 @dataclass(frozen=True)

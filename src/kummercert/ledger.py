@@ -460,12 +460,15 @@ def _parse_script(d: dict) -> Script:
         if aid in seen_ax:
             raise ScriptFormatError(f"duplicate axiom id {aid!r}")
         seen_ax.add(aid)
+        computation = a.get("computation", False)
+        if type(computation) is not bool:
+            raise ScriptFormatError(f"axiom {aid}: computation must be a boolean, got {computation!r}")
         axioms.append(
             Axiom(
                 id=aid,
-                cite=str(a.get("cite", "")),
+                cite=_json_str(a.get("cite", ""), "axiom cite"),
                 facts=tuple(fact(fd) for fd in a["facts"]),
-                computation=bool(a.get("computation", False)),
+                computation=computation,
             )
         )
     steps = []
@@ -482,7 +485,7 @@ def _parse_script(d: dict) -> Script:
             Step(
                 id=sid,
                 rule=_json_str(s["rule"], "rule"),
-                cite=str(s.get("cite", "")),
+                cite=_json_str(s.get("cite", ""), "step cite"),
                 params=dict(params),
                 inputs=tuple(fact(fd) for fd in s.get("inputs", ())),
             )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ __all__ = [
     "kernel_basis",
     "kronecker",
     "prime_factors",
-    "rank_fp",
     "smith_normal_form",
     "solve_exact",
 ]
@@ -224,10 +222,6 @@ class FpMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, p: int, rows) -> "FpMatrix":
-        return cls(p, rows)
-
-    @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
         _check_modulus(p)
         return cls._trusted(p, tuple([bytes(i) + b"\x01" + bytes(n - i - 1) for i in range(n)]), n)
@@ -356,11 +350,6 @@ def _product_rows(a_rows, b_rows, width: int):
         yield acc
 
 
-def rank_fp(m: FpMatrix) -> int:
-    """Rank of a matrix over F_p."""
-    return m.rank()
-
-
 def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     """Kronecker product with the left factor as the outer (block) index."""
     if a.p != b.p:
@@ -405,15 +394,6 @@ class IntMatrix:
         m.data = data
         m.cols = cols
         return m
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntMatrix":
-        """Parse a nested-integer-array literal, e.g. ``[[1, 0], [0, 1]]``."""
-        return cls(json.loads(text))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -538,9 +518,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_lists())
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"

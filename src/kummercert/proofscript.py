@@ -1,389 +1,30 @@
 """The shipped certificate script for the Kummer-fourfold torsion theorem.
 
-``build_script`` assembles the whole deduction as checker input: the cast
-of spaces, the geometric axioms with their citations, the computation-
-backed axioms taken from a live lattice model, the ordered rule
-applications, and the torsion-freeness goals in every degree 0..8.  The
-repository ships the result as ``data/kummer.proof``; the full
-certification run rebuilds the computation-backed axioms from scratch and
-cross-checks them against the shipped file before replaying it.
+``data/kummer.proof`` is the one source of the deduction: the cast of
+spaces, the geometric axioms with their citations, the ordered rule
+applications, and the torsion-freeness goals in every degree 0..8.
+``build_script`` rebuilds only its computation-backed axioms, from a live
+lattice model, so a certification run can check that the shipped file
+still records what the model computes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
 
 from .kummer import KummerContext
-from .ledger import (
-    SCRIPT_FORMAT,
-    Axiom,
-    Claim,
-    Fact,
-    GroupRef,
-    Script,
-    SpaceDecl,
-    Step,
-    coefficient_space,
-    leaf_facts_from_computation,
-    parse_script,
-)
-from .linalg import FinAbGroup
+from .ledger import Script, leaf_facts_from_computation, parse_script
 
 __all__ = ["build_script", "load_shipped_script", "shipped_script_text"]
 
-_PLAIN_SPACES = (
-    "K2A",
-    "Uprime",
-    "U",
-    "V",
-    "V_mod_A3",
-    "Vtilde_mod_A3",
-    "Wtilde",
-    "A2tilde",
-    "A2",
-    "S_prime",
-    "A",
-    "A_minus_A3",
-    "Delta_bar",
-    "Wtau_star",
-    "Sigma_tau",
-    "pt",
-)
-
-_PAIRS = (
-    ("(Uprime,U)", ("Uprime", "U")),
-    ("(A2tilde,Wtilde)", ("A2tilde", "Wtilde")),
-    ("(A,A_minus_A3)", ("A", "A_minus_A3")),
-)
-
-
-def _ref(space: str, degree: int) -> GroupRef:
-    return GroupRef(space, degree)
-
-
-def _iso(space: str, degree: int, rank: int) -> Fact:
-    return Fact(_ref(space, degree), Claim.iso_to(FinAbGroup.free(rank)))
-
-
-def _zero(space: str, degree: int) -> Fact:
-    return Fact(_ref(space, degree), Claim.is_zero())
-
-
-def _tf(space: str, degree: int) -> Fact:
-    return Fact(_ref(space, degree), Claim.torsion_free())
-
-
-def _geometric_axioms() -> tuple[Axiom, ...]:
-    return (
-        Axiom(
-            id="ax_point",
-            cite="cohomology of a point",
-            facts=(_iso("pt", 0, 1), _zero("pt", 1)),
-        ),
-        Axiom(
-            id="ax_torus_A",
-            cite="A is a 2-dimensional complex torus, topologically T^4: "
-            "H^k(A) = Lambda^k Z^4",
-            facts=(_iso("A", 1, 4), _iso("A", 3, 4)),
-        ),
-        Axiom(
-            id="ax_wtau_star",
-            cite="W_tau = P(1,1,3) (Briancon); removing its singular point leaves "
-            "the quotient of P^2 minus a point by an order-3 automorphism, "
-            "which is connected with H^1 = 0",
-            facts=(_iso("Wtau_star", 0, 1), _zero("Wtau_star", 1)),
-        ),
-        Axiom(
-            id="ax_sigma_tau",
-            cite="Sigma_tau is a Hirzebruch surface: H^0 = Z, H^1 = 0, H^2 = Z^2",
-            facts=(_iso("Sigma_tau", 0, 1), _zero("Sigma_tau", 1), _iso("Sigma_tau", 2, 2)),
-        ),
-        Axiom(
-            id="ax_totaro_hilb2",
-            cite="Totaro: the integral cohomology of the Hilbert square A^[2] "
-            "of an abelian surface is torsion free",
-            facts=(_tf("A2", 3), _tf("A2", 5)),
-        ),
-        Axiom(
-            id="ax_delta_bar_h1",
-            cite="degree-1 integral cohomology is torsion free (universal coefficients)",
-            facts=(_tf("Delta_bar", 1),),
-        ),
-        Axiom(
-            id="ax_delta_bar_iso",
-            cite="Delta_bar, the image of the diagonal in V/A3, is isomorphic "
-            "to A minus A[3]",
-            facts=(
-                Fact(
-                    _ref("Delta_bar", 3),
-                    Claim.torsion_equals(_ref("A_minus_A3", 3)),
-                ),
-            ),
-        ),
-        Axiom(
-            id="ax_k2a_connected",
-            cite="K2(A) is connected",
-            facts=(_iso("K2A", 0, 1),),
-        ),
-        Axiom(
-            id="ax_k2a_h1",
-            cite="degree-1 integral cohomology is torsion free (universal coefficients)",
-            facts=(_tf("K2A", 1),),
-        ),
-        Axiom(
-            id="ax_k2a_h2",
-            cite="K2(A) is simply connected, so H_1 = 0 and "
-            "tors H^2 = tors H_1 = 0 (universal coefficients)",
-            facts=(_tf("K2A", 2),),
-        ),
-    )
-
-
-def _spectral_step(step_id: str, k: int) -> Step:
-    inputs = [
-        Fact(GroupRef(coefficient_space(k - p), p), Claim.is_zero()) for p in range(1, k + 1)
-    ]
-    inputs.append(Fact(GroupRef(coefficient_space(k), 0), Claim.torsion_free()))
-    return Step(
-        id=step_id,
-        rule="spectral_vanishing",
-        cite="Cartan-Leray spectral sequence of the free A3-action on "
-        "V = (A x A) minus A[3]: with H^p(A3, H^(k-p)(V)) = 0 for all p >= 1, "
-        "H^k(V/A3) is the invariant edge term inside the free H^k(V)^A3",
-        params={"quotient": "V_mod_A3", "group": "A3", "coefficient": "V", "k": k},
-        inputs=tuple(inputs),
-    )
-
-
-def _steps() -> tuple[Step, ...]:
-    pair_a = "(A,A_minus_A3)"
-    pair_w = "(A2tilde,Wtilde)"
-    pair_u = "(Uprime,U)"
-    duality_cite = (
-        "Poincare duality and universal coefficients on the closed oriented "
-        "8-manifold K2(A): tors H^(j+1) = tors H_j = tors H^(8-j)"
-    )
-    return (
-        _spectral_step("s01", 3),
-        _spectral_step("s02", 5),
-        Step(
-            id="s03",
-            rule="thom_iso",
-            cite="Thom isomorphism for the pair (A, A minus A[3]): A[3] is 81 "
-            "points of real codimension 4 in the abelian surface A",
-            params={"pair": pair_a, "center": "pt", "copies": 81, "codim": 4,
-                    "degrees": [3, 4]},
-            inputs=(_iso("pt", 0, 1),),
-        ),
-        Step(
-            id="s04",
-            rule="les_torsion_equal",
-            cite="long exact sequence of the pair (A, A minus A[3])",
-            params={
-                "zero": _ref(pair_a, 3).to_json_dict(),
-                "left": _ref("A", 3).to_json_dict(),
-                "mid": _ref("A_minus_A3", 3).to_json_dict(),
-                "right": _ref(pair_a, 4).to_json_dict(),
-            },
-            inputs=(_zero(pair_a, 3), _tf(pair_a, 4)),
-        ),
-        Step(
-            id="s05",
-            rule="blowup_split",
-            cite="S' is the blow-up of the abelian surface A at the 81 points "
-            "of A[3]; blow-up formula for a smooth center",
-            params={"blowup": "S_prime", "base": "A", "center": "pt", "codim": 2,
-                    "degrees": [1, 3]},
-            inputs=(_iso("A", 1, 4), _iso("A", 3, 4), _zero("pt", 1)),
-        ),
-        Step(
-            id="s06",
-            rule="blowup_split",
-            cite="A2tilde is the blow-up of the Hilbert square A^[2] along the "
-            "surface S'; blow-up formula for integral cohomology "
-            "(Voisin 7.31, Li 4.1)",
-            params={"blowup": "A2tilde", "base": "A2", "center": "S_prime",
-                    "codim": 2, "degrees": [3, 5]},
-            inputs=(_tf("A2", 3), _tf("S_prime", 1), _tf("A2", 5), _tf("S_prime", 3)),
-        ),
-        Step(
-            id="s07",
-            rule="thom_iso",
-            cite="Thom isomorphism for the pair (A2tilde, Wtilde): the 81 "
-            "Hirzebruch surfaces Sigma_tau have real codimension 4",
-            params={"pair": pair_w, "center": "Sigma_tau", "copies": 81,
-                    "codim": 4, "degrees": [3, 4, 5, 6]},
-            inputs=(_iso("Sigma_tau", 0, 1), _zero("Sigma_tau", 1), _iso("Sigma_tau", 2, 2)),
-        ),
-        Step(
-            id="s08",
-            rule="les_torsion_equal",
-            cite="long exact sequence of the pair (A2tilde, Wtilde), degree 3",
-            params={
-                "zero": _ref(pair_w, 3).to_json_dict(),
-                "left": _ref("A2tilde", 3).to_json_dict(),
-                "mid": _ref("Wtilde", 3).to_json_dict(),
-                "right": _ref(pair_w, 4).to_json_dict(),
-            },
-            inputs=(_zero(pair_w, 3), _tf(pair_w, 4)),
-        ),
-        Step(
-            id="s09",
-            rule="les_torsion_equal",
-            cite="long exact sequence of the pair (A2tilde, Wtilde), degree 5",
-            params={
-                "zero": _ref(pair_w, 5).to_json_dict(),
-                "left": _ref("A2tilde", 5).to_json_dict(),
-                "mid": _ref("Wtilde", 5).to_json_dict(),
-                "right": _ref(pair_w, 6).to_json_dict(),
-            },
-            inputs=(_zero(pair_w, 5), _tf(pair_w, 6)),
-        ),
-        Step(
-            id="s10",
-            rule="blowup_split",
-            cite="Vtilde/A3 is the blow-up of V/A3 along the smooth surface "
-            "Delta_bar of complex codimension 2 (Li 4.1)",
-            params={"blowup": "Vtilde_mod_A3", "base": "V_mod_A3",
-                    "center": "Delta_bar", "codim": 2, "degrees": [3, 5]},
-            inputs=(
-                _tf("V_mod_A3", 3),
-                _tf("Delta_bar", 1),
-                _tf("V_mod_A3", 5),
-                _tf("Delta_bar", 3),
-            ),
-        ),
-        Step(
-            id="s11",
-            rule="transfer_cover",
-            cite="Wtilde = Vtilde/S2 covers U = Vtilde/S3 with degree 3; the "
-            "restriction-transfer composite is multiplication by the degree",
-            params={"cover_degree": 3, "total": "Wtilde", "base": "U", "k": 3},
-            inputs=(_tf("Wtilde", 3),),
-        ),
-        Step(
-            id="s12",
-            rule="transfer_cover",
-            cite="Wtilde = Vtilde/S2 covers U = Vtilde/S3 with degree 3; the "
-            "restriction-transfer composite is multiplication by the degree",
-            params={"cover_degree": 3, "total": "Wtilde", "base": "U", "k": 5},
-            inputs=(_tf("Wtilde", 5),),
-        ),
-        Step(
-            id="s13",
-            rule="transfer_cover",
-            cite="Vtilde/A3 covers U = Vtilde/S3 with degree 2; transfer",
-            params={"cover_degree": 2, "total": "Vtilde_mod_A3", "base": "U", "k": 3},
-            inputs=(_tf("Vtilde_mod_A3", 3),),
-        ),
-        Step(
-            id="s14",
-            rule="transfer_cover",
-            cite="Vtilde/A3 covers U = Vtilde/S3 with degree 2; transfer",
-            params={"cover_degree": 2, "total": "Vtilde_mod_A3", "base": "U", "k": 5},
-            inputs=(_tf("Vtilde_mod_A3", 5),),
-        ),
-        Step(
-            id="s15",
-            rule="combine_primes",
-            cite="torsion with only 3-torsion and only 2-torsion is zero",
-            params={"subject": _ref("U", 3).to_json_dict(), "first": [3], "second": [2]},
-            inputs=(
-                Fact(_ref("U", 3), Claim.only_primes((3,))),
-                Fact(_ref("U", 3), Claim.only_primes((2,))),
-            ),
-        ),
-        Step(
-            id="s16",
-            rule="combine_primes",
-            cite="torsion with only 3-torsion and only 2-torsion is zero",
-            params={"subject": _ref("U", 5).to_json_dict(), "first": [3], "second": [2]},
-            inputs=(
-                Fact(_ref("U", 5), Claim.only_primes((3,))),
-                Fact(_ref("U", 5), Claim.only_primes((2,))),
-            ),
-        ),
-        Step(
-            id="s17",
-            rule="thom_iso",
-            cite="Thom isomorphism for the pair (U', U): the punctured cones "
-            "W_tau^* over the 81 points pt_tau have real codimension 4 in U'",
-            params={"pair": pair_u, "center": "Wtau_star", "copies": 81,
-                    "codim": 4, "degrees": [3, 4, 5]},
-            inputs=(_iso("Wtau_star", 0, 1), _zero("Wtau_star", 1)),
-        ),
-        Step(
-            id="s18",
-            rule="les_torsion_equal",
-            cite="long exact sequence of the pair (U', U), degree 3",
-            params={
-                "zero": _ref(pair_u, 3).to_json_dict(),
-                "left": _ref("Uprime", 3).to_json_dict(),
-                "mid": _ref("U", 3).to_json_dict(),
-                "right": _ref(pair_u, 4).to_json_dict(),
-            },
-            inputs=(_zero(pair_u, 3), _tf(pair_u, 4)),
-        ),
-        Step(
-            id="s19",
-            rule="les_inject",
-            cite="long exact sequence of the pair (U', U), degree 5",
-            params={
-                "zero": _ref(pair_u, 5).to_json_dict(),
-                "source": _ref("Uprime", 5).to_json_dict(),
-                "target": _ref("U", 5).to_json_dict(),
-            },
-            inputs=(_zero(pair_u, 5),),
-        ),
-        Step(
-            id="s20",
-            rule="complement_iso",
-            cite="U' = K2(A) minus the 81 points pt_tau; removing finitely many "
-            "points from a closed 8-manifold preserves H^k for k <= 6",
-            params={"manifold": "K2A", "complement": "Uprime", "dim": 8,
-                    "removed_points": 81, "degrees": [3, 5]},
-            inputs=(),
-        ),
-        Step(
-            id="s21",
-            rule="duality_uct",
-            cite=duality_cite,
-            params={"manifold": "K2A", "dim": 8, "homology_degree": 4},
-            inputs=(),
-        ),
-        Step(
-            id="s22",
-            rule="duality_uct",
-            cite=duality_cite,
-            params={"manifold": "K2A", "dim": 8, "homology_degree": 2},
-            inputs=(),
-        ),
-        Step(
-            id="s23",
-            rule="duality_uct",
-            cite=duality_cite,
-            params={"manifold": "K2A", "dim": 8, "homology_degree": 1},
-            inputs=(),
-        ),
-        Step(
-            id="s24",
-            rule="duality_uct",
-            cite=duality_cite,
-            params={"manifold": "K2A", "dim": 8, "homology_degree": 0},
-            inputs=(),
-        ),
-    )
-
 
 def build_script(ctx: KummerContext) -> Script:
-    """The full certificate script, computation-backed axioms included."""
-    spaces = [SpaceDecl(name) for name in _PLAIN_SPACES]
-    spaces += [SpaceDecl(coefficient_space(q)) for q in range(6)]
-    spaces += [SpaceDecl(name, pair) for name, pair in _PAIRS]
-    axioms = _geometric_axioms() + leaf_facts_from_computation(ctx)
-    goals = tuple(_tf("K2A", k) for k in range(9))
-    return Script(SCRIPT_FORMAT, tuple(spaces), axioms, _steps(), goals)
+    """The shipped script with its computation-backed axioms rebuilt from ``ctx``."""
+    shipped = load_shipped_script()
+    geometric = tuple(a for a in shipped.axioms if not a.computation)
+    return dataclasses.replace(shipped, axioms=geometric + leaf_facts_from_computation(ctx))
 
 
 def shipped_script_text() -> str:

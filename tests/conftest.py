@@ -1,6 +1,6 @@
 import pytest
 
-from kummercert import build_context
+from kummercert.kummer import build_context
 from kummercert.proofscript import build_script, load_shipped_script
 
 

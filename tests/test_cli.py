@@ -140,10 +140,10 @@ def test_main_json_output(capsys):
 
 
 def test_main_maps_invariant_errors_to_exit_3(monkeypatch, capsys):
-    def broken():
+    def broken(self):
         raise InvariantError("broken on purpose")
 
-    monkeypatch.setattr("kummercert.cli.ell_table", broken)
+    monkeypatch.setattr(kummer.KummerModel, "ell", property(broken))
     assert main(["ell-table"]) == 3
     assert "internal invariant violation" in capsys.readouterr().err
 
@@ -238,6 +238,12 @@ def test_numpy_stays_out_of_the_certify_path():
     assert proc.stdout == (GOLDEN / "full-cert-seed0.json").read_bytes()
 
 
+def test_importing_the_package_imports_no_submodule():
+    check = "import sys, kummercert; sys.exit(any(m.startswith('kummercert.') for m in sys.modules))"
+    proc = run_python("-c", check)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+
+
 def test_full_cert_runs_smith_normal_form_on_blocks_only(monkeypatch):
     # Lambda^3 and Lambda^4 of the rank-8 model have rank 56 and 70, but
     # their direct summands have rank at most 16.
@@ -280,6 +286,10 @@ MALFORMED_SCRIPTS = {
     "params a list": lambda d: d["steps"][0].update(params=[]),
     "spaces an object": lambda d: d.update(spaces={"name": "X"}),
     "axiom a list": lambda d: d["axioms"].append([]),
+    "computation a string": lambda d: d["axioms"][0].update(computation="false"),
+    "computation a number": lambda d: d["axioms"][0].update(computation=1),
+    "axiom cite a list": lambda d: d["axioms"][0].update(cite=["Totaro"]),
+    "step cite a number": lambda d: d["steps"][0].update(cite=7),
 }
 
 

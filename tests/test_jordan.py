@@ -26,17 +26,17 @@ def test_jordan_type_of_identity():
 
 
 def test_jordan_type_of_full_block():
-    block = FpMatrix.from_rows(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    block = FpMatrix(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     assert jordan_type_unipotent(block) == N3
 
 
 def test_jordan_type_rejects_non_unipotent():
     with pytest.raises(NotUnipotentError):
-        jordan_type_unipotent(FpMatrix.from_rows(3, [[0, 1], [1, 0]]))
+        jordan_type_unipotent(FpMatrix(3, [[0, 1], [1, 0]]))
 
 
 def test_jordan_type_over_f2():
-    assert jordan_type_unipotent(FpMatrix.from_rows(2, [[1, 1], [0, 1]])) == N2
+    assert jordan_type_unipotent(FpMatrix(2, [[1, 1], [0, 1]])) == N2
 
 
 def test_jordan_type_empty():
