@@ -288,8 +288,6 @@ class FactStore:
         new_bound = (
             _torsion_bound(fact.claim) if fact.claim.kind in _TORSION_LEVEL else None
         )
-        if fact.claim.kind == "iso_to" or fact.claim.kind == "is_zero":
-            new_bound = None  # the exact group subsumes its own bound
         for old in self._by_subject.get(fact.subject, ()):
             old_exact = _exact_group(old.claim)
             if new_exact is not None and old_exact is not None and new_exact != old_exact:
@@ -565,10 +563,13 @@ def _param_int(step: Step, key: str) -> int:
     return value
 
 
-def _param_degrees(step: Step, key: str = "degrees") -> list[int]:
+def _param_ints(step: Step, key: str) -> list[int]:
+    # JSON integers only: "3", ["3"], 3.0 and true would pass an int() coercion.
     value = _param(step, key)
-    if not isinstance(value, list) or not all(isinstance(k, int) for k in value):
-        raise ParameterMismatchError(f"step {step.id}: parameter {key!r} must be a degree list")
+    if not isinstance(value, list) or not all(type(k) is int for k in value):
+        raise ParameterMismatchError(
+            f"step {step.id}: parameter {key!r} must be a list of integers"
+        )
     return value
 
 
@@ -611,7 +612,7 @@ def _rule_thom_iso(store: FactStore, step: Step) -> list[Fact]:
     codim = _param_int(step, "codim")
     if copies < 1 or codim < 1:
         raise ParameterMismatchError(f"step {step.id}: copies and codim must be positive")
-    degrees = _param_degrees(step)
+    degrees = _param_ints(step, "degrees")
     by_subject = _inputs_by_subject(step)
     used: set[GroupRef] = set()
     outputs = []
@@ -706,7 +707,7 @@ def _rule_blowup_split(store: FactStore, step: Step) -> list[Fact]:
     codim = _param_int(step, "codim")
     if codim < 1:
         raise ParameterMismatchError(f"step {step.id}: codim must be positive")
-    degrees = _param_degrees(step)
+    degrees = _param_ints(step, "degrees")
     by_subject = _inputs_by_subject(step)
     used: set[GroupRef] = set()
     outputs = []
@@ -776,7 +777,7 @@ def _rule_complement_iso(store: FactStore, step: Step) -> list[Fact]:
     complement = str(_param(step, "complement"))
     n = _param_int(step, "dim")
     _param_int(step, "removed_points")
-    degrees = _param_degrees(step)
+    degrees = _param_ints(step, "degrees")
     for k in degrees:
         if k > n - 2:
             raise ParameterMismatchError(
@@ -792,8 +793,8 @@ def _rule_complement_iso(store: FactStore, step: Step) -> list[Fact]:
 def _rule_combine_primes(store: FactStore, step: Step) -> list[Fact]:
     # Two torsion bounds on the same group intersect.
     subject = _param_ref(step, "subject")
-    first = frozenset(int(p) for p in _param(step, "first"))
-    second = frozenset(int(p) for p in _param(step, "second"))
+    first = frozenset(_param_ints(step, "first"))
+    second = frozenset(_param_ints(step, "second"))
     required = [
         Fact(subject, Claim.only_primes(first)),
         Fact(subject, Claim.only_primes(second)),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kummercert
-from kummercert import kummer, linalg
+from kummercert import kummer, ledger, linalg
 from kummercert.cli import ConfigError, RunConfig, main, run
 from kummercert.ledger import (
     SCRIPT_FORMAT,
@@ -108,6 +109,26 @@ def test_full_cert_detects_a_stale_shipped_script(shipped, monkeypatch):
     sections = {s["name"]: s["pass"] for s in payload["sections"]}
     assert not sections["computation-backed axioms"]
     assert not sections["ledger replay"]
+    assert payload["conclusion"] == "certification FAILED"
+
+
+def test_full_cert_detects_stale_model_tags(shipped, monkeypatch, capsys):
+    # The same facts cited with another model's tag must fail the cross-check;
+    # the replay itself reads only the facts and still passes.
+    stale = dataclasses.replace(
+        shipped,
+        axioms=tuple(
+            dataclasses.replace(a, cite=a.cite[:-16] + "0" * 16) if a.computation else a
+            for a in shipped.axioms
+        ),
+    )
+    assert [a.cite for a in stale.axioms] != [a.cite for a in shipped.axioms]
+    monkeypatch.setattr("kummercert.cli.load_shipped_script", lambda: stale)
+    assert main(["full-cert", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    sections = {s["name"]: s["pass"] for s in payload["sections"]}
+    assert sections.pop("computation-backed axioms") is False
+    assert all(sections.values())
     assert payload["conclusion"] == "certification FAILED"
 
 
@@ -260,6 +281,26 @@ def test_full_cert_runs_smith_normal_form_on_blocks_only(monkeypatch):
     assert shapes and max(max(shape) for shape in shapes) <= 16
 
 
+def test_full_cert_runs_no_kernel_basis_or_exact_solve(monkeypatch):
+    # The groups come from two cokernels per block, so neither the saturated
+    # kernel basis nor the exact solve is on the certified path.
+    calls = []
+    for name in ("kernel_basis", "solve_exact", "smith_normal_form"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("kummercert")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(RunConfig("full-cert"))
+    assert code == 0
+    assert "kernel_basis" not in calls and "solve_exact" not in calls
+    assert 0 < calls.count("smith_normal_form") <= 300
+
+
 def shipped_json():
     return json.loads(shipped_script_text())
 
@@ -317,21 +358,66 @@ def test_unreadable_documents_exit_2(content, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_a_rule_exception_fails_only_its_step(tmp_path, capsys):
-    script = shipped_json()
-    step = first_step(script, "combine_primes")
-    step["params"]["first"] = 5
-    path = tmp_path / "bad-parameter.proof"
+def check_ledger_json(script, tmp_path, capsys):
+    """The exit code and JSON report of check-ledger on ``script``."""
+    path = tmp_path / "edited.proof"
     path.write_text(json.dumps(script))
-    assert main(["check-ledger", "--script", str(path), "--format", "json"]) == 1
+    code = main(["check-ledger", "--script", str(path), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     validate(payload)
+    return code, payload
+
+
+def test_a_rule_exception_fails_only_its_step(tmp_path, capsys, monkeypatch):
+    # Not only ledger errors: whatever a rule raises fails its own step.
+    combine_primes = ledger._RULES["combine_primes"]
+
+    def broken(store, step):
+        if step.id == "s15":
+            raise TypeError("broken on purpose")
+        return combine_primes(store, step)
+
+    monkeypatch.setitem(ledger._RULES, "combine_primes", broken)
+    script = shipped_json()
+    code, payload = check_ledger_json(script, tmp_path, capsys)
+    assert code == 1
     records = payload["ledger"]["steps"]
     assert [r["id"] for r in records] == [s["id"] for s in script["steps"]]
     failed = [r for r in records if not r["ok"]]
-    assert [r["id"] for r in failed] == [step["id"]]
-    assert failed[0]["error"].startswith("TypeError: ")
-    assert payload["ledger"]["first_failure"].startswith(f"step {step['id']}: TypeError")
+    assert [r["id"] for r in failed] == ["s15"]
+    assert failed[0]["error"] == "TypeError: broken on purpose"
+    assert payload["ledger"]["first_failure"].startswith("step s15: TypeError")
+
+
+# Step parameters that must be lists of JSON integers.  An int() coercion
+# would accept all but the first and read true as 1, so most of these would
+# replay the shipped script unchanged.
+BAD_STEP_PARAMETERS = {
+    "primes a number": ("s15", "first", 5),
+    "primes a numeric string": ("s15", "first", "3"),
+    "a prime a numeric string": ("s15", "first", ["3"]),
+    "a prime a float": ("s15", "second", [2.0]),
+    "a prime a boolean": ("s15", "second", [True]),
+    "a degree a boolean": ("s05", "degrees", [True, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STEP_PARAMETERS))
+def test_a_bad_step_parameter_fails_its_step(name, tmp_path, capsys):
+    step_id, key, value = BAD_STEP_PARAMETERS[name]
+    script = shipped_json()
+    next(s for s in script["steps"] if s["id"] == step_id)["params"][key] = value
+    code, payload = check_ledger_json(script, tmp_path, capsys)
+    assert code == 1
+    records = payload["ledger"]["steps"]
+    assert [r["id"] for r in records] == [s["id"] for s in script["steps"]]
+    failed = {r["id"]: r["error"] for r in records if not r["ok"]}
+    assert failed.pop(step_id) == (
+        f"ParameterMismatchError: step {step_id}: parameter {key!r} must be a list of integers"
+    )
+    # Later steps can only miss the facts the failed step would have added.
+    assert all(error.startswith("MissingInputError: ") for error in failed.values())
+    assert payload["ledger"]["first_failure"].startswith(f"step {step_id}: ")
 
 
 # ------------------------------------------------------- check-ledger fuzzing

@@ -3,18 +3,29 @@ from unittest import mock
 
 import pytest
 
-from kummercert import linalg
+from kummercert import cohomology, linalg
 from kummercert.cohomology import (
     LatticeAction,
+    _components,
     cohomology_closed_form,
     cohomology_snf,
+    cross_validate,
     fixed_points,
     jordan_type_mod3,
     random_conjugated_block_action,
     random_unimodular,
 )
 from kummercert.jordan import JordanType
-from kummercert.linalg import BadDegreeError, FinAbGroup, IntMatrix
+from kummercert.kummer import build_model
+from kummercert.linalg import (
+    BadDegreeError,
+    FinAbGroup,
+    IntMatrix,
+    InvariantError,
+    cokernel,
+    kernel_basis,
+    solve_exact,
+)
 
 TRIVIAL = LatticeAction(IntMatrix([[1]]))
 ROTATION = LatticeAction(IntMatrix([[0, -1], [1, -1]]))
@@ -125,6 +136,32 @@ def test_cross_validation_smoke():
             assert cohomology_snf(action, degree) == cohomology_closed_form(observed, parity)
 
 
+def test_cross_validation_stops_at_the_first_mismatch(monkeypatch):
+    assert cross_validate(random.Random(41), 20, max_rank=10)
+    draws = []
+    draw = cohomology.random_conjugated_block_action
+
+    def counted(rng, max_rank):
+        draws.append(max_rank)
+        return draw(rng, max_rank=max_rank)
+
+    monkeypatch.setattr(cohomology, "random_conjugated_block_action", counted)
+    monkeypatch.setattr(cohomology, "cohomology_closed_form", lambda j, p: FinAbGroup.free(1))
+    assert not cross_validate(random.Random(41), 20, max_rank=10)
+    assert draws == [10]
+
+
+def test_free_ranks_that_do_not_add_up_are_an_invariant_error(monkeypatch):
+    # ker(s - 1) and ker(N) are complementary over Q for an order-3 action,
+    # so a cokernel that says otherwise is a bug, raised even under -O.
+    cokernel = cohomology.cokernel
+    monkeypatch.setattr(
+        cohomology, "cokernel", lambda m: cokernel(m).direct_sum(FinAbGroup.free(1))
+    )
+    with pytest.raises(InvariantError):
+        fixed_points(LatticeAction(ROTATION.matrix))
+
+
 def snf_input_dims(fn, *args):
     """fn(*args), and the largest side of any matrix put through Smith normal form.
 
@@ -163,11 +200,11 @@ def test_scrambled_block_sum_gives_the_same_groups():
         scrambled = LatticeAction(p @ split.matrix @ pinv)
         if snf_input_dims(fixed_points, scrambled)[1] == n:
             break  # the conjugate has no coordinate direct summand
-    # The first call computes both parities on the whole lattice; the
-    # later degrees read them off the action without any SNF.
+    # The fixed_points probe computed the fixed rank and both parities on
+    # the whole lattice; every degree reads them off the action without SNF.
     for degree in (1, 2, 3, 4):
         group, largest = snf_input_dims(cohomology_snf, scrambled, degree)
-        assert largest == (n if degree == 1 else 0)
+        assert largest == 0
         assert group == cohomology_snf(split, degree)
     assert cohomology_snf(split, 1) == FinAbGroup(0, (3, 3))
     assert cohomology_snf(split, 2) == FinAbGroup(0, (3, 3))
@@ -199,3 +236,56 @@ def test_both_parities_are_computed_once_per_action():
         assert group == fresh == cohomology_closed_form(counts, parity)
     assert first == cohomology_snf(action, 1)
     assert snf_input_dims(fixed_points, action)[1] == 0
+
+
+def quotient_reference(action):
+    """(fixed lattice, even, odd) as quotients of lattices on the unsplit action.
+
+    ker(s - 1) / im(N) and ker(N) / im(s - 1), each from a saturated kernel
+    basis, the image rewritten in it by an exact solve, and a cokernel.
+    """
+
+    def quotient(basis, image):
+        return cokernel(solve_exact(basis, image)) if basis.cols else FinAbGroup.zero()
+
+    delta, norm = action.shifted(), action.norm()
+    fixed = kernel_basis(delta)
+    return FinAbGroup.free(fixed.cols), quotient(fixed, norm), quotient(kernel_basis(norm), delta)
+
+
+def two_cokernel_route(action):
+    return fixed_points(action), cohomology_snf(action, 2), cohomology_snf(action, 1)
+
+
+def test_model_lattices_match_the_quotient_reference():
+    model = build_model()
+    for q, power in model.powers.items():
+        for action in (power, power.squared()):
+            assert two_cokernel_route(action) == quotient_reference(action), q
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_identity_matches_the_quotient_reference(n):
+    identity = LatticeAction(IntMatrix.identity(n))
+    assert two_cokernel_route(identity) == quotient_reference(identity)
+    assert two_cokernel_route(identity) == (FinAbGroup.free(n), Z3.multiple(n), FinAbGroup.zero())
+
+
+def test_random_lattices_match_the_quotient_reference():
+    rng = random.Random(59)
+    unsplit = 0
+    for i in range(240):
+        action, counts = random_conjugated_block_action(rng, max_rank=12)
+        if i % 2:
+            # A longer scramble: larger coefficients, rarely any direct summand.
+            p, pinv = random_unimodular(rng, action.rank, ops=4 * action.rank)
+            action = LatticeAction(p @ action.matrix @ pinv)
+        unsplit += len(_components(action.matrix)) == 1
+        expected = quotient_reference(action)
+        assert two_cokernel_route(action) == expected
+        assert expected == (
+            FinAbGroup.free(counts.l1 + counts.l3),
+            Z3.multiple(counts.l1),
+            Z3.multiple(counts.l2),
+        )
+    assert unsplit >= 100
