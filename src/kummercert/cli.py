@@ -11,13 +11,12 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .cohomology import cohomology_closed_form, cohomology_snf, cross_validate, jordan_type_mod3
 from .jordan import JordanType
 from .kummer import CertificateFailure, build_model
 from .ledger import ScriptFormatError, check_script, leaf_facts_from_computation, parse_script
-from .linalg import InvariantError
+from .linalg import InvariantError, Value
 from .proofscript import load_shipped_script
 
 COMMANDS = ("ell-table", "cohomology", "verify-proposition", "check-ledger", "full-cert")
@@ -38,12 +37,20 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    output_format: str = "text"
-    script_path: str | None = None
-    seed: int = 0
+class RunConfig(Value):
+    """A parsed command line; mutable, unlike the other value types."""
+
+    __slots__ = _fields = ("command", "output_format", "script_path", "seed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, output_format: str = "text", script_path: str | None = None,
+                 seed: int = 0):
+        self.command = command
+        self.output_format = output_format
+        self.script_path = script_path
+        self.seed = seed
 
 
 def _validate(config: RunConfig) -> None:

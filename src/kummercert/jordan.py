@@ -12,9 +12,7 @@ and compound matrices followed by a Jordan-profile computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import BadDegreeError, FpMatrix, InvariantError
+from .linalg import BadDegreeError, FpMatrix, InvariantError, Value, _set
 
 __all__ = [
     "JordanType",
@@ -32,17 +30,25 @@ class NotUnipotentError(ValueError):
     """The matrix is not unipotent: (m - 1)^p is non-zero."""
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(Value):
     """Multiplicities of the Jordan blocks N1, N2, N3."""
 
-    l1: int
-    l2: int
-    l3: int
+    __slots__ = _fields = ("l1", "l2", "l3")
 
-    def __post_init__(self) -> None:
-        if self.l1 < 0 or self.l2 < 0 or self.l3 < 0:
+    def __init__(self, l1: int, l2: int, l3: int):
+        if l1 < 0 or l2 < 0 or l3 < 0:
             raise ValueError("block counts must be non-negative")
+        _set(self, "l1", l1)
+        _set(self, "l2", l2)
+        _set(self, "l3", l3)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.l1 == other.l1 and self.l2 == other.l2 and self.l3 == other.l3
+
+    def __hash__(self) -> int:
+        return hash((self.l1, self.l2, self.l3))
 
     @property
     def dimension(self) -> int:

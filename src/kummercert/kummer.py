@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cohomology import LatticeAction, cohomology_snf, fixed_points, jordan_type_mod3
 from .jordan import JordanType, wedge
-from .linalg import FinAbGroup, IntMatrix, InvariantError, exterior_power
+from .linalg import FinAbGroup, IntMatrix, InvariantError, Value, exterior_power
 
 __all__ = [
     "CertificateFailure",
@@ -84,11 +83,11 @@ def coefficient_action(action: LatticeAction, q: int) -> LatticeAction:
     return LatticeAction(exterior_power(action.matrix, q))
 
 
-@dataclass(frozen=True)
-class VanishingEntry:
-    p: int
-    q: int
-    group: FinAbGroup
+class VanishingEntry(Value):
+    __slots__ = _fields = ("p", "q", "group")
+
+    def __init__(self, p: int, q: int, group: FinAbGroup):
+        self._init(p, q, group)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "q": self.q, "group": self.group.to_json_dict()}
@@ -198,14 +197,14 @@ def fixed_rank_table(action: LatticeAction | None = None) -> dict[int, int]:
     return build_model(action).fixed_ranks
 
 
-@dataclass(frozen=True)
-class KummerContext:
+class KummerContext(Value):
     """Everything the certificate checker consumes, as one immutable value."""
 
-    sigma_h1: LatticeAction
-    ell: dict[int, JordanType]
-    vanishing: tuple[VanishingEntry, ...]
-    fixed_ranks: dict[int, int]
+    __slots__ = _fields = ("sigma_h1", "ell", "vanishing", "fixed_ranks")
+
+    def __init__(self, sigma_h1: LatticeAction, ell: dict[int, JordanType],
+                 vanishing: tuple[VanishingEntry, ...], fixed_ranks: dict[int, int]):
+        self._init(sigma_h1, ell, vanishing, fixed_ranks)
 
     def to_json_dict(self) -> dict:
         return {

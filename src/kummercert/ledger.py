@@ -33,11 +33,8 @@ twice yields byte-identical output.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from .kummer import CertificateFailure, KummerContext
-from .linalg import FinAbGroup, prime_factors
+from .linalg import FinAbGroup, Value, _set, prime_factors
 
 __all__ = [
     "Axiom",
@@ -108,12 +105,22 @@ def _json_str(value, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class GroupRef:
+class GroupRef(Value):
     """A named cohomology group: H^degree of a declared space."""
 
-    space: str
-    degree: int
+    __slots__ = _fields = ("space", "degree")
+
+    def __init__(self, space: str, degree: int):
+        _set(self, "space", space)
+        _set(self, "degree", degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.degree == other.degree
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.degree))
 
     def render(self) -> str:
         if self.space.startswith("("):
@@ -139,12 +146,28 @@ _CLAIM_KINDS = (
 _TORSION_LEVEL = ("torsion_free", "only_primes")
 
 
-@dataclass(frozen=True)
-class Claim:
-    kind: str
-    primes: frozenset[int] | None = None
-    group: FinAbGroup | None = None
-    other: GroupRef | None = None
+class Claim(Value):
+    __slots__ = _fields = ("kind", "primes", "group", "other")
+
+    def __init__(self, kind: str, primes: frozenset[int] | None = None,
+                 group: FinAbGroup | None = None, other: GroupRef | None = None):
+        _set(self, "kind", kind)
+        _set(self, "primes", primes)
+        _set(self, "group", group)
+        _set(self, "other", other)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.primes == other.primes
+            and (self.group is other.group or self.group == other.group)
+            and self.other == other.other
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.primes, self.group, self.other))
 
     @classmethod
     def is_zero(cls) -> "Claim":
@@ -210,10 +233,23 @@ class Claim:
         return cls(kind)
 
 
-@dataclass(frozen=True)
-class Fact:
-    subject: GroupRef
-    claim: Claim
+class Fact(Value):
+    __slots__ = _fields = ("subject", "claim")
+
+    def __init__(self, subject: GroupRef, claim: Claim):
+        _set(self, "subject", subject)
+        _set(self, "claim", claim)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Identity first, as tuple comparison does: facts often share their parts.
+        return (self.subject is other.subject or self.subject == other.subject) and (
+            self.claim is other.claim or self.claim == other.claim
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.claim))
 
     def render(self) -> str:
         return f"{self.subject.render()} : {self.claim.render()}"
@@ -367,36 +403,41 @@ class FactStore:
 # script structure
 
 
-@dataclass(frozen=True)
-class SpaceDecl:
-    name: str
-    pair: tuple[str, str] | None = None
+class SpaceDecl(Value):
+    __slots__ = _fields = ("name", "pair")
+
+    def __init__(self, name: str, pair: tuple[str, str] | None = None):
+        self._init(name, pair)
 
 
-@dataclass(frozen=True)
-class Axiom:
-    id: str
-    cite: str
-    facts: tuple[Fact, ...]
-    computation: bool = False
+class Axiom(Value):
+    __slots__ = _fields = ("id", "cite", "facts", "computation")
+
+    def __init__(self, id: str, cite: str, facts: tuple[Fact, ...], computation: bool = False):
+        self._init(id, cite, facts, computation)
 
 
-@dataclass(frozen=True, eq=False)
-class Step:
-    id: str
-    rule: str
-    cite: str
-    params: dict
-    inputs: tuple[Fact, ...]
+class Step(Value):
+    """One rule application; steps compare by identity."""
+
+    __slots__ = _fields = ("id", "rule", "cite", "params", "inputs")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, id: str, rule: str, cite: str, params: dict, inputs: tuple[Fact, ...]):
+        self._init(id, rule, cite, params, inputs)
 
 
-@dataclass(frozen=True, eq=False)
-class Script:
-    format: str
-    spaces: tuple[SpaceDecl, ...]
-    axioms: tuple[Axiom, ...]
-    steps: tuple[Step, ...]
-    goals: tuple[Fact, ...]
+class Script(Value):
+    """A parsed proof script; scripts compare by identity."""
+
+    __slots__ = _fields = ("format", "spaces", "axioms", "steps", "goals")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, format: str, spaces: tuple[SpaceDecl, ...], axioms: tuple[Axiom, ...],
+                 steps: tuple[Step, ...], goals: tuple[Fact, ...]):
+        self._init(format, spaces, axioms, steps, goals)
 
     def space_names(self) -> frozenset[str]:
         return frozenset(s.name for s in self.spaces)
@@ -527,15 +568,13 @@ def script_to_json_dict(script: Script) -> dict:
 def without_axiom(script: Script, axiom_id: str) -> Script:
     if all(a.id != axiom_id for a in script.axioms):
         raise KeyError(axiom_id)
-    return dataclasses.replace(
-        script, axioms=tuple(a for a in script.axioms if a.id != axiom_id)
-    )
+    return script.replace(axioms=tuple(a for a in script.axioms if a.id != axiom_id))
 
 
 def without_step(script: Script, step_id: str) -> Script:
     if all(s.id != step_id for s in script.steps):
         raise KeyError(step_id)
-    return dataclasses.replace(script, steps=tuple(s for s in script.steps if s.id != step_id))
+    return script.replace(steps=tuple(s for s in script.steps if s.id != step_id))
 
 
 # --------------------------------------------------------------------------
@@ -838,39 +877,35 @@ def apply_rule(store: FactStore, step: Step) -> FactStore:
 # checking and reporting
 
 
-@dataclass(frozen=True)
-class AxiomRecord:
-    id: str
-    ok: bool
-    error: str | None
-    facts: tuple[str, ...]
+class AxiomRecord(Value):
+    __slots__ = _fields = ("id", "ok", "error", "facts")
+
+    def __init__(self, id: str, ok: bool, error: str | None, facts: tuple[str, ...]):
+        self._init(id, ok, error, facts)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    id: str
-    rule: str
-    ok: bool
-    error: str | None
-    outputs: tuple[str, ...]
+class StepRecord(Value):
+    __slots__ = _fields = ("id", "rule", "ok", "error", "outputs")
+
+    def __init__(self, id: str, rule: str, ok: bool, error: str | None, outputs: tuple[str, ...]):
+        self._init(id, rule, ok, error, outputs)
 
 
-@dataclass(frozen=True)
-class GoalRecord:
-    fact: str
-    established: bool
-    chain: tuple[str, ...]
+class GoalRecord(Value):
+    __slots__ = _fields = ("fact", "established", "chain")
+
+    def __init__(self, fact: str, established: bool, chain: tuple[str, ...]):
+        self._init(fact, established, chain)
 
 
-@dataclass(frozen=True)
-class Report:
-    passed: bool
-    axioms: tuple[AxiomRecord, ...]
-    steps: tuple[StepRecord, ...]
-    goals: tuple[GoalRecord, ...]
-    first_failure: str | None
-    fact_count: int
-    grounded: bool
+class Report(Value):
+    __slots__ = _fields = (
+        "passed", "axioms", "steps", "goals", "first_failure", "fact_count", "grounded")
+
+    def __init__(self, passed: bool, axioms: tuple[AxiomRecord, ...],
+                 steps: tuple[StepRecord, ...], goals: tuple[GoalRecord, ...],
+                 first_failure: str | None, fact_count: int, grounded: bool):
+        self._init(passed, axioms, steps, goals, first_failure, fact_count, grounded)
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 # Tuples of rows are built from lists, never from generators or map objects:
 # tuple() of an iterator of unknown length allocates a guessed size and then
@@ -34,6 +33,7 @@ __all__ = [
     "FinAbGroup",
     "FpMatrix",
     "IntMatrix",
+    "Value",
     "cokernel",
     "exterior_power",
     "kernel_basis",
@@ -88,27 +88,89 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+# Field assignment past Value.__setattr__, for the value types' __init__.
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the package's immutable value types, without ``dataclasses``.
+
+    A subclass names its fields, in constructor order, in ``_fields`` and
+    sets them in ``__init__`` with ``_set`` or ``_init``.  Instances compare
+    and hash field-wise (only with instances of the same class), print in
+    the dataclass format and refuse assignment and deletion.  Types on hot
+    paths spell out ``__eq__`` and ``__hash__`` instead of these loops.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        """Set the fields to ``values``; for types built too rarely to spell it out."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied; an unknown field is a TypeError."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        return self.__class__(**fields)
+
+
+class FinAbGroup(Value):
     """Finitely generated abelian group: free rank plus invariant factors.
 
     The torsion part is the divisibility chain d1 | d2 | ... with every
-    d_i >= 2, so equality of groups is equality of the dataclass.
+    d_i >= 2, so two groups are isomorphic exactly when their ranks and
+    chains are equal, which is what ``==`` compares.
     """
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("rank must be non-negative")
         prev = 1
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
             if d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
+        _set(self, "rank", rank)
+        _set(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.torsion == other.torsion
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.torsion))
 
     @classmethod
     def zero(cls) -> "FinAbGroup":
@@ -168,10 +230,6 @@ class FinAbGroup:
 
     def to_json_dict(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FinAbGroup":
-        return cls(int(d["rank"]), tuple(int(x) for x in d["torsion"]))
 
     def __str__(self) -> str:
         parts = []

@@ -10,7 +10,6 @@ still records what the model computes.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.resources
 import json
 
@@ -24,7 +23,7 @@ def build_script(ctx: KummerContext) -> Script:
     """The shipped script with its computation-backed axioms rebuilt from ``ctx``."""
     shipped = load_shipped_script()
     geometric = tuple(a for a in shipped.axioms if not a.computation)
-    return dataclasses.replace(shipped, axioms=geometric + leaf_facts_from_computation(ctx))
+    return shipped.replace(axioms=geometric + leaf_facts_from_computation(ctx))
 
 
 def shipped_script_text() -> str:

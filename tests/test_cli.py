@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib.resources
 import io
 import json
@@ -115,10 +114,9 @@ def test_full_cert_detects_a_stale_shipped_script(shipped, monkeypatch):
 def test_full_cert_detects_stale_model_tags(shipped, monkeypatch, capsys):
     # The same facts cited with another model's tag must fail the cross-check;
     # the replay itself reads only the facts and still passes.
-    stale = dataclasses.replace(
-        shipped,
+    stale = shipped.replace(
         axioms=tuple(
-            dataclasses.replace(a, cite=a.cite[:-16] + "0" * 16) if a.computation else a
+            a.replace(cite=a.cite[:-16] + "0" * 16) if a.computation else a
             for a in shipped.axioms
         ),
     )
@@ -234,10 +232,14 @@ def test_full_cert_under_python_O_needs_no_asserts():
     assert proc.stdout == (GOLDEN / "full-cert-seed0.json").read_bytes()
 
 
-# Exit 9 if numpy was imported, else the exit code of the code before it.
-NUMPY_CHECK = """
+# Exit 9 if numpy, dataclasses or inspect was imported (numpy is not a
+# dependency; the other two add several milliseconds to every cold start),
+# else the exit code of the code before it.
+HEAVY_IMPORTS_CHECK = """
 import sys
-if any(name == "numpy" or name.startswith("numpy.") for name in sys.modules):
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "dataclasses", "inspect"))
+if heavy:
+    sys.stderr.write(f"imported {heavy}")
     sys.exit(9)
 """
 FULL_CERT_AS_MAIN = """
@@ -252,9 +254,9 @@ except SystemExit as exc:
 
 
 def test_numpy_stays_out_of_the_certify_path():
-    proc = run_python("-c", "import kummercert.cli" + NUMPY_CHECK)
+    proc = run_python("-c", "import kummercert.cli" + HEAVY_IMPORTS_CHECK)
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
-    proc = run_python("-c", FULL_CERT_AS_MAIN + NUMPY_CHECK)
+    proc = run_python("-c", FULL_CERT_AS_MAIN + HEAVY_IMPORTS_CHECK)
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
     assert proc.stdout == (GOLDEN / "full-cert-seed0.json").read_bytes()
 

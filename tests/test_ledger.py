@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.resources
 import json
@@ -359,11 +358,7 @@ def test_leaf_facts_structure(ctx):
 
 
 def test_leaf_facts_refuse_tampered_context(ctx):
-    bad_entry = dataclasses.replace(
-        ctx.vanishing[3], group=FinAbGroup(0, (3,))
-    )
-    tampered = dataclasses.replace(
-        ctx, vanishing=ctx.vanishing[:3] + (bad_entry,) + ctx.vanishing[4:]
-    )
+    bad_entry = ctx.vanishing[3].replace(group=FinAbGroup(0, (3,)))
+    tampered = ctx.replace(vanishing=ctx.vanishing[:3] + (bad_entry,) + ctx.vanishing[4:])
     with pytest.raises(CertificateFailure):
         leaf_facts_from_computation(tampered)
