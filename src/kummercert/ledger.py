@@ -579,269 +579,197 @@ def without_step(script: Script, step_id: str) -> Script:
 
 # --------------------------------------------------------------------------
 # rules
+#
+# A rule reads only its step and returns the facts it consumes with its
+# conclusions; apply_rule alone checks the consumed facts against the
+# declared inputs and the established fact set.
 
 
-def _param(step: Step, key: str):
-    try:
-        return step.params[key]
-    except KeyError:
-        raise ParameterMismatchError(f"step {step.id}: missing parameter {key!r}") from None
+def _name(value):
+    if type(value) is str:
+        return value
 
 
-def _param_ref(step: Step, key: str) -> GroupRef:
-    value = _param(step, key)
-    if not isinstance(value, dict):
-        raise ParameterMismatchError(f"step {step.id}: parameter {key!r} must be a group ref")
-    return GroupRef.from_json_dict(value)
+def _integer(value):
+    # JSON integers only: "3", 3.0 and true would pass an int() coercion.
+    if type(value) is int:
+        return value
 
 
-def _param_int(step: Step, key: str) -> int:
-    value = _param(step, key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterMismatchError(f"step {step.id}: parameter {key!r} must be an integer")
-    return value
+def _integers(value):
+    if type(value) is list and all(type(k) is int for k in value):
+        return value
 
 
-def _param_ints(step: Step, key: str) -> list[int]:
-    # JSON integers only: "3", ["3"], 3.0 and true would pass an int() coercion.
-    value = _param(step, key)
-    if not isinstance(value, list) or not all(type(k) is int for k in value):
-        raise ParameterMismatchError(
-            f"step {step.id}: parameter {key!r} must be a list of integers"
-        )
-    return value
+def _ref(value):
+    if type(value) is dict:
+        space, degree = value.get("space"), value.get("degree")
+        if type(space) is str and type(degree) is int:
+            return GroupRef(space, degree)
 
 
-def _require(store: FactStore, step: Step, fact: Fact) -> None:
-    if fact not in store:
-        raise MissingInputError(f"step {step.id}: input not established: {fact.render()}")
+_READERS = {
+    _name: "a string",
+    _integer: "an integer",
+    _integers: "a list of integers",
+    _ref: "a group ref",
+}
 
 
-def _check_inputs(step: Step, required: list[Fact]) -> None:
-    if set(step.inputs) != set(required) or len(step.inputs) != len(required):
-        want = ", ".join(f.render() for f in required) or "(none)"
-        raise ParameterMismatchError(f"step {step.id}: inputs must be exactly: {want}")
-
-
-def _inputs_by_subject(step: Step) -> dict[GroupRef, Fact]:
-    out: dict[GroupRef, Fact] = {}
-    for f in step.inputs:
-        if f.subject in out:
+def _read(step: Step, **readers) -> list:
+    """The step's parameters named by ``readers``, read in that order."""
+    values = []
+    for key, reader in readers.items():
+        if key not in step.params:
+            raise ParameterMismatchError(f"step {step.id}: missing parameter {key!r}")
+        value = reader(step.params[key])
+        if value is None:
             raise ParameterMismatchError(
-                f"step {step.id}: duplicate input subject {f.subject.render()}"
+                f"step {step.id}: parameter {key!r} must be {_READERS[reader]}"
             )
-        out[f.subject] = f
-    return out
+        values.append(value)
+    return values
 
 
-def _bound_or_fail(step: Step, fact: Fact) -> frozenset[int]:
-    bound = _torsion_bound(fact.claim)
-    if bound is None:
-        raise ParameterMismatchError(
-            f"step {step.id}: input {fact.render()} carries no torsion information"
-        )
-    return bound
+def _about(step: Step, ref: GroupRef) -> tuple[Fact, frozenset[int]]:
+    """The first declared input about ``ref`` and its bound on the torsion primes.
+
+    apply_rule rejects any other declared input about ``ref``.
+    """
+    for fact in step.inputs:
+        if fact.subject == ref:
+            bound = _torsion_bound(fact.claim)
+            if bound is None:
+                raise ParameterMismatchError(
+                    f"step {step.id}: input {fact.render()} carries no torsion information"
+                )
+            return fact, bound
+    raise MissingInputError(f"step {step.id}: needs a fact about {ref.render()}")
 
 
-def _rule_thom_iso(store: FactStore, step: Step) -> list[Fact]:
+def _rule_thom_iso(step: Step) -> tuple[list[Fact], list[Fact]]:
     # H^k(pair) = (copies) disjoint summands of H^(k - codim)(center).
-    pair = str(_param(step, "pair"))
-    center = str(_param(step, "center"))
-    copies = _param_int(step, "copies")
-    codim = _param_int(step, "codim")
+    pair, center, copies, codim, degrees = _read(
+        step, pair=_name, center=_name, copies=_integer, codim=_integer, degrees=_integers
+    )
     if copies < 1 or codim < 1:
         raise ParameterMismatchError(f"step {step.id}: copies and codim must be positive")
-    degrees = _param_ints(step, "degrees")
-    by_subject = _inputs_by_subject(step)
-    used: set[GroupRef] = set()
+    consumed = {}  # a fact read for two degrees is consumed once
     outputs = []
     for k in degrees:
-        subject = GroupRef(pair, k)
-        j = k - codim
-        if j < 0:
-            outputs.append(Fact(subject, Claim.is_zero()))
-            continue
-        center_ref = GroupRef(center, j)
-        fact = by_subject.get(center_ref)
-        if fact is None:
-            raise MissingInputError(
-                f"step {step.id}: needs a fact about {center_ref.render()}"
-            )
-        _require(store, step, fact)
-        used.add(center_ref)
-        claim = fact.claim
-        if claim.kind == "is_zero":
-            out_claim = Claim.is_zero()
-        elif claim.kind == "iso_to":
-            out_claim = Claim.iso_to(claim.group.multiple(copies))
-        elif claim.kind == "torsion_free":
-            out_claim = Claim.torsion_free()
-        elif claim.kind == "only_primes":
-            out_claim = Claim.only_primes(claim.primes)
-        else:
-            raise ParameterMismatchError(
-                f"step {step.id}: unusable center fact {fact.render()}"
-            )
-        outputs.append(Fact(subject, out_claim))
-    if used != set(by_subject):
-        raise ParameterMismatchError(f"step {step.id}: unused declared inputs")
-    return outputs
+        claim = Claim.is_zero()
+        if k >= codim:
+            fact, _ = _about(step, GroupRef(center, k - codim))
+            consumed[fact] = None
+            claim = fact.claim
+            if claim.kind == "iso_to":
+                claim = Claim.iso_to(claim.group.multiple(copies))
+        outputs.append(Fact(GroupRef(pair, k), claim))
+    return list(consumed), outputs
 
 
-def _rule_les_torsion_equal(store: FactStore, step: Step) -> list[Fact]:
+def _rule_les_torsion_equal(step: Step) -> tuple[list[Fact], list[Fact]]:
     # Exact 0 -> left -> mid -> right with the leading term zero and the
     # right term torsion free: left and mid have the same torsion.
-    zero = _param_ref(step, "zero")
-    left = _param_ref(step, "left")
-    mid = _param_ref(step, "mid")
-    right = _param_ref(step, "right")
-    required = [Fact(zero, Claim.is_zero()), Fact(right, Claim.torsion_free())]
-    _check_inputs(step, required)
-    for f in required:
-        _require(store, step, f)
-    return [Fact(left, Claim.torsion_equals(mid))]
+    zero, left, mid, right = _read(step, zero=_ref, left=_ref, mid=_ref, right=_ref)
+    return (
+        [Fact(zero, Claim.is_zero()), Fact(right, Claim.torsion_free())],
+        [Fact(left, Claim.torsion_equals(mid))],
+    )
 
 
-def _rule_les_inject(store: FactStore, step: Step) -> list[Fact]:
+def _rule_les_inject(step: Step) -> tuple[list[Fact], list[Fact]]:
     # Exact zero -> source -> target: torsion of source embeds in target's.
-    zero = _param_ref(step, "zero")
-    source = _param_ref(step, "source")
-    target = _param_ref(step, "target")
-    required = [Fact(zero, Claim.is_zero())]
-    _check_inputs(step, required)
-    _require(store, step, required[0])
-    return [Fact(source, Claim.torsion_injects_into(target))]
+    zero, source, target = _read(step, zero=_ref, source=_ref, target=_ref)
+    return [Fact(zero, Claim.is_zero())], [Fact(source, Claim.torsion_injects_into(target))]
 
 
-def _rule_transfer_cover(store: FactStore, step: Step) -> list[Fact]:
+def _rule_transfer_cover(step: Step) -> tuple[list[Fact], list[Fact]]:
     # Degree-d covering total -> base: restriction followed by transfer is
     # multiplication by d, so base torsion away from d injects into the
     # total space's torsion.
-    d = _param_int(step, "cover_degree")
+    d, total, base, k = _read(step, cover_degree=_integer, total=_name, base=_name, k=_integer)
     if d < 2:
         raise ParameterMismatchError(f"step {step.id}: cover degree must be >= 2")
-    total = str(_param(step, "total"))
-    base = str(_param(step, "base"))
-    k = _param_int(step, "k")
-    total_ref = GroupRef(total, k)
-    by_subject = _inputs_by_subject(step)
-    fact = by_subject.get(total_ref)
-    if fact is None or len(by_subject) != 1:
-        raise MissingInputError(
-            f"step {step.id}: needs exactly one fact about {total_ref.render()}"
-        )
-    _require(store, step, fact)
-    upstairs = _bound_or_fail(step, fact)
+    fact, upstairs = _about(step, GroupRef(total, k))
     primes = frozenset(prime_factors(d)) | upstairs
-    return [Fact(GroupRef(base, k), Claim.only_primes(primes))]
+    return [fact], [Fact(GroupRef(base, k), Claim.only_primes(primes))]
 
 
-def _rule_blowup_split(store: FactStore, step: Step) -> list[Fact]:
+def _rule_blowup_split(step: Step) -> tuple[list[Fact], list[Fact]]:
     # Blow-up along a smooth center of complex codimension c: cohomology
     # splits off shifted copies of the center, so torsion primes of the
     # blow-up are bounded by those of the base and the shifted center.
-    blowup = str(_param(step, "blowup"))
-    base = str(_param(step, "base"))
-    center = str(_param(step, "center"))
-    codim = _param_int(step, "codim")
+    blowup, base, center, codim, degrees = _read(
+        step, blowup=_name, base=_name, center=_name, codim=_integer, degrees=_integers
+    )
     if codim < 1:
         raise ParameterMismatchError(f"step {step.id}: codim must be positive")
-    degrees = _param_ints(step, "degrees")
-    by_subject = _inputs_by_subject(step)
-    used: set[GroupRef] = set()
+    consumed = {}  # a fact read for two degrees is consumed once
     outputs = []
     for k in degrees:
         refs = [GroupRef(base, k)]
-        refs += [
-            GroupRef(center, k - 2 * i) for i in range(1, codim) if k - 2 * i >= 0
-        ]
+        refs += [GroupRef(center, k - 2 * i) for i in range(1, min(codim, k // 2 + 1))]
         primes: frozenset[int] = frozenset()
         for ref in refs:
-            fact = by_subject.get(ref)
-            if fact is None:
-                raise MissingInputError(f"step {step.id}: needs a fact about {ref.render()}")
-            _require(store, step, fact)
-            used.add(ref)
-            primes |= _bound_or_fail(step, fact)
+            fact, bound = _about(step, ref)
+            consumed[fact] = None
+            primes |= bound
         outputs.append(Fact(GroupRef(blowup, k), Claim.only_primes(primes)))
-    if used != set(by_subject):
-        raise ParameterMismatchError(f"step {step.id}: unused declared inputs")
-    return outputs
+    return list(consumed), outputs
 
 
-def _rule_duality_uct(store: FactStore, step: Step) -> list[Fact]:
+def _rule_duality_uct(step: Step) -> tuple[list[Fact], list[Fact]]:
     # On a closed oriented n-manifold, Poincare duality plus universal
     # coefficients give tors H^(j+1) = tors H_j = tors H^(n-j).
-    manifold = str(_param(step, "manifold"))
-    n = _param_int(step, "dim")
-    j = _param_int(step, "homology_degree")
+    manifold, n, j = _read(step, manifold=_name, dim=_integer, homology_degree=_integer)
     if not 0 <= j < n:
         raise ParameterMismatchError(f"step {step.id}: homology degree out of range")
-    _check_inputs(step, [])
-    return [
-        Fact(
-            GroupRef(manifold, j + 1),
-            Claim.torsion_equals(GroupRef(manifold, n - j)),
-        )
-    ]
+    return [], [Fact(GroupRef(manifold, j + 1), Claim.torsion_equals(GroupRef(manifold, n - j)))]
 
 
-def _rule_spectral_vanishing(store: FactStore, step: Step) -> list[Fact]:
+def _rule_spectral_vanishing(step: Step) -> tuple[list[Fact], list[Fact]]:
     # Cartan-Leray for a free action: when every H^p(G, H^(k-p)) with
     # p >= 1 vanishes, H^k of the quotient is the invariant edge term,
     # which is torsion free whenever the fixed part is.
-    quotient = str(_param(step, "quotient"))
-    group = str(_param(step, "group"))
-    coefficient = str(_param(step, "coefficient"))
-    k = _param_int(step, "k")
+    quotient, group, coefficient, k = _read(
+        step, quotient=_name, group=_name, coefficient=_name, k=_integer
+    )
     if k < 1:
         raise ParameterMismatchError(f"step {step.id}: total degree must be >= 1")
-    required = [
+    consumed = [
         Fact(GroupRef(f"{group},H^{k - p}({coefficient})", p), Claim.is_zero())
         for p in range(1, k + 1)
     ]
-    required.append(
-        Fact(GroupRef(f"{group},H^{k}({coefficient})", 0), Claim.torsion_free())
-    )
-    _check_inputs(step, required)
-    for f in required:
-        _require(store, step, f)
-    return [Fact(GroupRef(quotient, k), Claim.torsion_free())]
+    consumed.append(Fact(GroupRef(f"{group},H^{k}({coefficient})", 0), Claim.torsion_free()))
+    return consumed, [Fact(GroupRef(quotient, k), Claim.torsion_free())]
 
 
-def _rule_complement_iso(store: FactStore, step: Step) -> list[Fact]:
+def _rule_complement_iso(step: Step) -> tuple[list[Fact], list[Fact]]:
     # Removing a finite point set from a closed n-manifold leaves H^k
     # unchanged for k <= n - 2.
-    manifold = str(_param(step, "manifold"))
-    complement = str(_param(step, "complement"))
-    n = _param_int(step, "dim")
-    _param_int(step, "removed_points")
-    degrees = _param_ints(step, "degrees")
+    manifold, complement, n, _, degrees = _read(
+        step, manifold=_name, complement=_name, dim=_integer, removed_points=_integer,
+        degrees=_integers,
+    )
     for k in degrees:
         if k > n - 2:
             raise ParameterMismatchError(
                 f"step {step.id}: degree {k} exceeds dim - 2 = {n - 2}"
             )
-    _check_inputs(step, [])
-    return [
+    return [], [
         Fact(GroupRef(manifold, k), Claim.torsion_equals(GroupRef(complement, k)))
         for k in degrees
     ]
 
 
-def _rule_combine_primes(store: FactStore, step: Step) -> list[Fact]:
+def _rule_combine_primes(step: Step) -> tuple[list[Fact], list[Fact]]:
     # Two torsion bounds on the same group intersect.
-    subject = _param_ref(step, "subject")
-    first = frozenset(_param_ints(step, "first"))
-    second = frozenset(_param_ints(step, "second"))
-    required = [
-        Fact(subject, Claim.only_primes(first)),
-        Fact(subject, Claim.only_primes(second)),
-    ]
-    _check_inputs(step, required)
-    for f in required:
-        _require(store, step, f)
-    return [Fact(subject, Claim.only_primes(first & second))]
+    subject, first, second = _read(step, subject=_ref, first=_integers, second=_integers)
+    return (
+        [Fact(subject, Claim.only_primes(first)), Fact(subject, Claim.only_primes(second))],
+        [Fact(subject, Claim.only_primes(set(first) & set(second)))],
+    )
 
 
 _RULES = {
@@ -860,13 +788,21 @@ _RULES = {
 def apply_rule(store: FactStore, step: Step) -> FactStore:
     """Replay one rule application against an established fact set.
 
-    Pure: returns a new store with the step's conclusions (and their
-    closure) added.  Re-applying an already-applied step is a no-op.
+    The declared inputs must be exactly the facts the rule consumes, each
+    already established.  Pure: returns a new store with the step's
+    conclusions (and their closure) added.  Re-applying an already-applied
+    step is a no-op.
     """
     handler = _RULES.get(step.rule)
     if handler is None:
         raise UnknownRuleError(f"step {step.id}: unknown rule {step.rule!r}")
-    outputs = handler(store, step)
+    consumed, outputs = handler(step)
+    if set(step.inputs) != set(consumed) or len(step.inputs) != len(consumed):
+        want = ", ".join(f.render() for f in consumed) or "(none)"
+        raise ParameterMismatchError(f"step {step.id}: inputs must be exactly: {want}")
+    for fact in consumed:
+        if fact not in store:
+            raise MissingInputError(f"step {step.id}: input not established: {fact.render()}")
     new = store.copy()
     for f in outputs:
         new.add(f, ("step", step.id))

@@ -581,15 +581,6 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-def _matmul_reference(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The textbook row-by-column product; the test oracle for ``@``."""
-    if a.cols == 0:
-        return IntMatrix.zeros(a.rows, b.cols)
-    cols = tuple(zip(*b.data))
-    out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.data)
-    return IntMatrix._trusted(out, b.cols)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with g = gcd(a, b) >= 0 and x*a + y*b = g."""
     old_r, r = a, b

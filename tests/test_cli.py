@@ -374,10 +374,10 @@ def test_a_rule_exception_fails_only_its_step(tmp_path, capsys, monkeypatch):
     # Not only ledger errors: whatever a rule raises fails its own step.
     combine_primes = ledger._RULES["combine_primes"]
 
-    def broken(store, step):
+    def broken(step):
         if step.id == "s15":
             raise TypeError("broken on purpose")
-        return combine_primes(store, step)
+        return combine_primes(step)
 
     monkeypatch.setitem(ledger._RULES, "combine_primes", broken)
     script = shipped_json()
@@ -391,22 +391,29 @@ def test_a_rule_exception_fails_only_its_step(tmp_path, capsys, monkeypatch):
     assert payload["ledger"]["first_failure"].startswith("step s15: TypeError")
 
 
-# Step parameters that must be lists of JSON integers.  An int() coercion
-# would accept all but the first and read true as 1, so most of these would
-# replay the shipped script unchanged.
+# Step parameters of the wrong JSON type.  An int() coercion would accept
+# most of the integer cases and read true as 1, str() would turn any value
+# into a space name, and a ref with a missing or mistyped field used to
+# fail with a bare KeyError or a parse-time ScriptFormatError.
 BAD_STEP_PARAMETERS = {
-    "primes a number": ("s15", "first", 5),
-    "primes a numeric string": ("s15", "first", "3"),
-    "a prime a numeric string": ("s15", "first", ["3"]),
-    "a prime a float": ("s15", "second", [2.0]),
-    "a prime a boolean": ("s15", "second", [True]),
-    "a degree a boolean": ("s05", "degrees", [True, 3]),
+    "primes a number": ("s15", "first", 5, "a list of integers"),
+    "primes a numeric string": ("s15", "first", "3", "a list of integers"),
+    "a prime a numeric string": ("s15", "first", ["3"], "a list of integers"),
+    "a prime a float": ("s15", "second", [2.0], "a list of integers"),
+    "a prime a boolean": ("s15", "second", [True], "a list of integers"),
+    "a degree a boolean": ("s05", "degrees", [True, 3], "a list of integers"),
+    "a ref empty": ("s15", "subject", {}, "a group ref"),
+    "a ref without degree": ("s15", "subject", {"space": "U"}, "a group ref"),
+    "a ref degree a string": ("s15", "subject", {"space": "U", "degree": "3"}, "a group ref"),
+    "a ref space a number": ("s15", "subject", {"space": 5, "degree": 3}, "a group ref"),
+    "a space name a number": ("s11", "total", 5, "a string"),
+    "a space name a list": ("s20", "manifold", ["K2A"], "a string"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_STEP_PARAMETERS))
 def test_a_bad_step_parameter_fails_its_step(name, tmp_path, capsys):
-    step_id, key, value = BAD_STEP_PARAMETERS[name]
+    step_id, key, value, what = BAD_STEP_PARAMETERS[name]
     script = shipped_json()
     next(s for s in script["steps"] if s["id"] == step_id)["params"][key] = value
     code, payload = check_ledger_json(script, tmp_path, capsys)
@@ -415,7 +422,7 @@ def test_a_bad_step_parameter_fails_its_step(name, tmp_path, capsys):
     assert [r["id"] for r in records] == [s["id"] for s in script["steps"]]
     failed = {r["id"]: r["error"] for r in records if not r["ok"]}
     assert failed.pop(step_id) == (
-        f"ParameterMismatchError: step {step_id}: parameter {key!r} must be a list of integers"
+        f"ParameterMismatchError: step {step_id}: parameter {key!r} must be {what}"
     )
     # Later steps can only miss the facts the failed step would have added.
     assert all(error.startswith("MissingInputError: ") for error in failed.values())

@@ -29,6 +29,7 @@ from kummercert.ledger import (
     without_step,
 )
 from kummercert.linalg import FinAbGroup
+from kummercert.proofscript import load_shipped_script
 
 SPACES = frozenset({"X", "Y", "Z", "(X,Y)"})
 
@@ -208,6 +209,29 @@ def test_input_list_must_match_exactly():
         apply_rule(store, step("les_torsion_equal", params, [zero, tf, extra]))
     with pytest.raises(ParameterMismatchError):
         apply_rule(store, step("les_torsion_equal", params, [zero]))
+
+
+def replay_with_inputs(script, step_id, inputs):
+    """The report of ``script`` with one step's inputs replaced, and that step's record."""
+    steps = tuple(
+        s.replace(inputs=tuple(inputs)) if s.id == step_id else s for s in script.steps
+    )
+    report = check_script(script.replace(steps=steps))
+    return report, next(r for r in report.steps if r.id == step_id)
+
+
+@pytest.mark.parametrize("step_id", [s.id for s in load_shipped_script().steps])
+def test_every_rule_takes_exactly_its_declared_inputs(shipped, step_id):
+    inputs = next(s for s in shipped.steps if s.id == step_id).inputs
+    for i in range(len(inputs)):
+        _, record = replay_with_inputs(shipped, step_id, inputs[:i] + inputs[i + 1:])
+        assert not record.ok
+    unused = next(f for a in shipped.axioms for f in a.facts if f not in inputs)
+    _, record = replay_with_inputs(shipped, step_id, inputs + (unused,))
+    assert not record.ok
+    assert record.error.startswith(f"ParameterMismatchError: step {step_id}: inputs must be")
+    report, record = replay_with_inputs(shipped, step_id, inputs[::-1])
+    assert record.ok and report.passed
 
 
 def test_apply_rule_is_pure_and_idempotent():

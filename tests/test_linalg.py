@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummercert import linalg
 from kummercert.linalg import (
     BadDegreeError,
     ExactSolveError,
@@ -158,8 +157,18 @@ def test_snf_contract_randomized(rows, cols, data):
 INT64_SAFE = 2**62
 
 
+def matmul_reference(a, b):
+    """The textbook row-by-column product; the oracle for ``@``."""
+    if a.cols == 0:
+        return IntMatrix.zeros(a.rows, b.cols)
+    cols = tuple(zip(*b.data))
+    return IntMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.data], b.cols
+    )
+
+
 def assert_exact_product(a, b, product):
-    assert product == linalg._matmul_reference(a, b)
+    assert product == matmul_reference(a, b)
     assert product.shape == (a.rows, b.cols)
     assert all(type(x) is int for row in product.data for x in row)
 
@@ -372,7 +381,6 @@ def test_internally_built_results_are_well_formed(n, k, m, data):
     block = data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
     results = [
         a @ b,
-        linalg._matmul_reference(a, b),
         a + c,
         a - c,
         IntMatrix.identity(n),
