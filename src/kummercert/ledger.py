@@ -6,7 +6,8 @@ typed inference steps, and a list of goal facts.  Checking replays the
 steps in order: each step names a rule, lists the exact facts it consumes,
 and contributes new facts.  Nothing is ever guessed: a step whose inputs
 are not already established fails, and the report records the failure
-instead of aborting.
+instead of aborting.  An axiom, like a step, adds all of its facts (with
+their closure) or none; closure and goal chains have no depth limit.
 
 Facts are claims about a group ``H^degree(space)``:
 
@@ -62,6 +63,11 @@ __all__ = [
 ]
 
 SCRIPT_FORMAT = "kummer-proof/1"
+
+# Bounds on the checker's work: it factors an iso_to invariant factor or a
+# cover degree by trial division, and it lists each invariant factor it builds.
+FACTOR_BOUND = 2**24
+MAX_FACTORS = 10**4
 
 
 class LedgerError(Exception):
@@ -227,6 +233,8 @@ class Claim(Value):
         if kind == "iso_to":
             rank = _json_int(d["rank"], "rank")
             torsion = tuple(_json_int(x, "invariant factor") for x in d["torsion"])
+            if any(x >= FACTOR_BOUND for x in torsion):
+                raise ScriptFormatError(f"invariant factors must be below {FACTOR_BOUND}")
             return cls.iso_to(FinAbGroup(rank, torsion))
         if kind in ("torsion_equals", "torsion_injects_into"):
             return cls(kind, other=GroupRef.from_json_dict(d["other"]))
@@ -291,14 +299,15 @@ class FactStore:
     def __init__(self, spaces: frozenset[str]):
         self._spaces = spaces
         self._facts: dict[Fact, tuple] = {}
-        self._by_subject: dict[GroupRef, list[Fact]] = {}
-        self._relations: dict[GroupRef, list[Fact]] = {}
+        # Tuples, not lists: a copy shares them instead of copying each one.
+        self._by_subject: dict[GroupRef, tuple[Fact, ...]] = {}
+        self._relations: dict[GroupRef, tuple[Fact, ...]] = {}
 
     def copy(self) -> "FactStore":
         new = FactStore(self._spaces)
         new._facts = dict(self._facts)
-        new._by_subject = {k: list(v) for k, v in self._by_subject.items()}
-        new._relations = {k: list(v) for k, v in self._relations.items()}
+        new._by_subject = dict(self._by_subject)
+        new._relations = dict(self._relations)
         return new
 
     def __contains__(self, fact: Fact) -> bool:
@@ -343,26 +352,26 @@ class FactStore:
                     )
 
     def add(self, fact: Fact, source: tuple) -> list[Fact]:
-        """Insert a fact (idempotent) and its closure; return what was new."""
+        """Insert a fact (idempotent) and its closure, depth first; return what was new."""
         added: list[Fact] = []
-        self._insert(fact, source, added)
+        stack = [(fact, source)]
+        while stack:
+            fact, source = stack.pop()
+            if fact in self._facts:
+                continue
+            self._validate_ref(fact.subject)
+            if fact.claim.other is not None:
+                self._validate_ref(fact.claim.other)
+            self._check_consistent(fact)
+            self._facts[fact] = source
+            self._by_subject[fact.subject] = self._by_subject.get(fact.subject, ()) + (fact,)
+            if fact.claim.kind in ("torsion_equals", "torsion_injects_into"):
+                for ref in (fact.subject, fact.claim.other):
+                    self._relations[ref] = self._relations.get(ref, ()) + (fact,)
+            added.append(fact)
+            # Reversed, so that the implications pop in the order listed.
+            stack.extend((f, ("closure", tuple(p))) for f, p in reversed(self._implications(fact)))
         return added
-
-    def _insert(self, fact: Fact, source: tuple, added: list[Fact]) -> None:
-        if fact in self._facts:
-            return
-        self._validate_ref(fact.subject)
-        if fact.claim.other is not None:
-            self._validate_ref(fact.claim.other)
-        self._check_consistent(fact)
-        self._facts[fact] = source
-        self._by_subject.setdefault(fact.subject, []).append(fact)
-        if fact.claim.kind in ("torsion_equals", "torsion_injects_into"):
-            self._relations.setdefault(fact.subject, []).append(fact)
-            self._relations.setdefault(fact.claim.other, []).append(fact)
-        added.append(fact)
-        for implied, premises in self._implications(fact):
-            self._insert(implied, ("closure", tuple(premises)), added)
 
     def _implications(self, fact: Fact) -> list[tuple[Fact, list[Fact]]]:
         out: list[tuple[Fact, list[Fact]]] = []
@@ -663,6 +672,8 @@ def _rule_thom_iso(step: Step) -> tuple[list[Fact], list[Fact]]:
             consumed[fact] = None
             claim = fact.claim
             if claim.kind == "iso_to":
+                if len(claim.group.torsion) * copies > MAX_FACTORS:
+                    raise ParameterMismatchError(f"step {step.id}: over {MAX_FACTORS} factors")
                 claim = Claim.iso_to(claim.group.multiple(copies))
         outputs.append(Fact(GroupRef(pair, k), claim))
     return list(consumed), outputs
@@ -691,6 +702,8 @@ def _rule_transfer_cover(step: Step) -> tuple[list[Fact], list[Fact]]:
     d, total, base, k = _read(step, cover_degree=_integer, total=_name, base=_name, k=_integer)
     if d < 2:
         raise ParameterMismatchError(f"step {step.id}: cover degree must be >= 2")
+    if d >= FACTOR_BOUND:
+        raise ParameterMismatchError(f"step {step.id}: cover degree must be below {FACTOR_BOUND}")
     fact, upstairs = _about(step, GroupRef(total, k))
     primes = frozenset(prime_factors(d)) | upstairs
     return [fact], [Fact(GroupRef(base, k), Claim.only_primes(primes))]
@@ -708,11 +721,10 @@ def _rule_blowup_split(step: Step) -> tuple[list[Fact], list[Fact]]:
     consumed = {}  # a fact read for two degrees is consumed once
     outputs = []
     for k in degrees:
-        refs = [GroupRef(base, k)]
-        refs += [GroupRef(center, k - 2 * i) for i in range(1, min(codim, k // 2 + 1))]
         primes: frozenset[int] = frozenset()
-        for ref in refs:
-            fact, bound = _about(step, ref)
+        # H^k(base), then H^(k - 2i)(center): lazily, as a missing input ends the walk.
+        for i in range(max(1, min(codim, k // 2 + 1))):
+            fact, bound = _about(step, GroupRef(center, k - 2 * i) if i else GroupRef(base, k))
             consumed[fact] = None
             primes |= bound
         outputs.append(Fact(GroupRef(blowup, k), Claim.only_primes(primes)))
@@ -737,6 +749,8 @@ def _rule_spectral_vanishing(step: Step) -> tuple[list[Fact], list[Fact]]:
     )
     if k < 1:
         raise ParameterMismatchError(f"step {step.id}: total degree must be >= 1")
+    if k > len(step.inputs):  # so that it builds at most one fact more than declared
+        raise ParameterMismatchError(f"step {step.id}: inputs must be {k + 1} facts")
     consumed = [
         Fact(GroupRef(f"{group},H^{k - p}({coefficient})", p), Claim.is_zero())
         for p in range(1, k + 1)
@@ -803,9 +817,14 @@ def apply_rule(store: FactStore, step: Step) -> FactStore:
     for fact in consumed:
         if fact not in store:
             raise MissingInputError(f"step {step.id}: input not established: {fact.render()}")
+    return _commit(store, outputs, ("step", step.id))
+
+
+def _commit(store: FactStore, facts, source: tuple) -> FactStore:
+    """A copy of ``store`` with ``facts`` and their closure: all of them or, on error, none."""
     new = store.copy()
-    for f in outputs:
-        new.add(f, ("step", step.id))
+    for fact in facts:
+        new.add(fact, source)
     return new
 
 
@@ -892,51 +911,42 @@ class Report(Value):
         return "\n".join(lines)
 
 
-def _goal_chain(store: FactStore, script: Script, fact: Fact) -> tuple[tuple[str, ...], bool]:
-    steps_by_id = {s.id: s for s in script.steps}
+def _goal_chain(store: FactStore, inputs: dict, fact: Fact) -> tuple[tuple[str, ...], bool]:
     lines: list[str] = []
     seen: set[Fact] = set()
     grounded = True
-
-    def visit(f: Fact) -> None:
-        nonlocal grounded
+    stack = [fact]
+    while stack:
+        f = stack.pop()
         if f in seen:
-            return
+            continue
         seen.add(f)
         if f not in store:
             grounded = False
             lines.append(f"{f.render()}  <=  UNGROUNDED")
-            return
-        prov = store.provenance(f)
-        if prov[0] == "axiom":
-            lines.append(f"{f.render()}  <=  axiom {prov[1]}")
-            premises: tuple[Fact, ...] = ()
-        elif prov[0] == "step":
-            lines.append(f"{f.render()}  <=  step {prov[1]}")
-            premises = steps_by_id[prov[1]].inputs
-        else:
+            continue
+        kind, origin = store.provenance(f)
+        if kind == "closure":
             lines.append(f"{f.render()}  <=  closure")
-            premises = prov[1]
-        for p in premises:
-            visit(p)
-
-    visit(fact)
+            stack.extend(reversed(origin))
+        else:
+            lines.append(f"{f.render()}  <=  {kind} {origin}")
+            if kind == "step":
+                stack.extend(reversed(inputs[origin]))
     return tuple(lines), grounded
 
 
 def check_script(script: Script) -> Report:
-    """Replay a script from scratch and report every step and goal."""
+    """Replay a script from scratch and report every axiom, step and goal."""
     store = FactStore(script.space_names())
     first_failure: str | None = None
     axiom_records = []
     for ax in script.axioms:
+        before = len(store)
         try:
-            added: list[Fact] = []
-            for f in ax.facts:
-                added.extend(store.add(f, ("axiom", ax.id)))
-            axiom_records.append(
-                AxiomRecord(ax.id, True, None, tuple(x.render() for x in added))
-            )
+            store = _commit(store, ax.facts, ("axiom", ax.id))
+            new = tuple(f.render() for f in store.facts_list()[before:])
+            axiom_records.append(AxiomRecord(ax.id, True, None, new))
         except LedgerError as exc:
             message = f"{type(exc).__name__}: {exc}"
             axiom_records.append(AxiomRecord(ax.id, False, message, ()))
@@ -945,11 +955,11 @@ def check_script(script: Script) -> Report:
     for st in script.steps:
         before = len(store)
         try:
-            store = apply_rule(store, st)
-            new_facts = store.facts_list()[before:]
-            step_records.append(
-                StepRecord(st.id, st.rule, True, None, tuple(f.render() for f in new_facts))
-            )
+            after = apply_rule(store, st)
+            # Rendered before the commit, so that an unprintable output commits nothing.
+            new = tuple(f.render() for f in after.facts_list()[before:])
+            store = after
+            step_records.append(StepRecord(st.id, st.rule, True, None, new))
         except Exception as exc:
             # Not only LedgerError: a rule that trips over a malformed
             # parameter (say a number where a list belongs) fails its step
@@ -957,12 +967,13 @@ def check_script(script: Script) -> Report:
             message = f"{type(exc).__name__}: {exc}"
             step_records.append(StepRecord(st.id, st.rule, False, message, ()))
             first_failure = first_failure or f"step {st.id}: {message}"
+    inputs = {st.id: st.inputs for st in script.steps}
     goal_records = []
     grounded = True
     for goal in script.goals:
         established = goal in store
         if established:
-            chain, ok = _goal_chain(store, script, goal)
+            chain, ok = _goal_chain(store, inputs, goal)
             grounded = grounded and ok
         else:
             chain = ()

@@ -189,15 +189,11 @@ class FinAbGroup(Value):
                 raise ValueError("cyclic factors must be >= 2")
             for p, e in prime_factors(m).items():
                 primes.setdefault(p, []).append(e)
-        length = max((len(v) for v in primes.values()), default=0)
-        chain = []
-        for i in range(length):
-            d = 1
-            for p, exps in primes.items():
-                ordered = sorted(exps, reverse=True)
-                if i < len(ordered):
-                    d *= p ** ordered[i]
-            chain.append(d)
+        chain = [1] * max((len(v) for v in primes.values()), default=0)
+        for p, exps in primes.items():
+            # The largest exponents go into the largest invariant factors.
+            for i, e in enumerate(sorted(exps, reverse=True)):
+                chain[i] *= p**e
         chain.reverse()
         return cls(rank, tuple(chain))
 
@@ -212,7 +208,8 @@ class FinAbGroup(Value):
         """Direct sum of ``copies`` copies of this group."""
         if copies < 0:
             raise ValueError("copies must be non-negative")
-        return FinAbGroup.from_factors(self.rank * copies, self.torsion * copies)
+        # Sorted, the repeated chain is again a divisibility chain.
+        return FinAbGroup(self.rank * copies, tuple(sorted(self.torsion * copies)))
 
     @property
     def is_zero(self) -> bool:
@@ -224,7 +221,7 @@ class FinAbGroup(Value):
 
     def torsion_primes(self) -> frozenset[int]:
         primes: set[int] = set()
-        for d in self.torsion:
+        for d in set(self.torsion):  # a chain has few distinct factors
             primes.update(prime_factors(d))
         return frozenset(primes)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -333,6 +334,10 @@ MALFORMED_SCRIPTS = {
     "computation a number": lambda d: d["axioms"][0].update(computation=1),
     "axiom cite a list": lambda d: d["axioms"][0].update(cite=["Totaro"]),
     "step cite a number": lambda d: d["steps"][0].update(cite=7),
+    "invariant factor of 61 bits": lambda d: d["axioms"][0]["facts"].append(
+        {"subject": {"space": "pt", "degree": 1},
+         "claim": {"kind": "iso_to", "rank": 0, "torsion": [2**61 - 1]}}
+    ),
 }
 
 
@@ -429,6 +434,122 @@ def test_a_bad_step_parameter_fails_its_step(name, tmp_path, capsys):
     assert payload["ledger"]["first_failure"].startswith(f"step {step_id}: ")
 
 
+def h1(space, kind, **claim):
+    return {"subject": {"space": space, "degree": 1}, "claim": {"kind": kind, **claim}}
+
+
+def chain_script(links, in_steps):
+    """H^1(X0) torsion free, carried along H^1(X0) ~ ... ~ H^1(X<links>).
+
+    The torsion equalities are one axiom's facts, or one complement_iso
+    step per link.
+    """
+    names = [f"X{i}" for i in range(links + 1)]
+    pairs = list(zip(names, names[1:]))
+    relations = [h1(a, "torsion_equals", other={"space": b, "degree": 1}) for a, b in pairs]
+    steps = [
+        {
+            "id": f"s{i}",
+            "rule": "complement_iso",
+            "params": {"manifold": a, "complement": b, "dim": 8, "removed_points": 1,
+                       "degrees": [1]},
+        }
+        for i, (a, b) in enumerate(pairs)
+    ]
+    facts = [h1("X0", "torsion_free")]
+    return {
+        "format": SCRIPT_FORMAT,
+        "spaces": [{"name": name} for name in names],
+        "axioms": [{"id": "chain", "facts": facts if in_steps else relations + facts}],
+        "steps": steps if in_steps else [],
+        "goals": [h1(names[-1], "torsion_free")],
+    }
+
+
+@pytest.mark.parametrize("in_steps", [False, True], ids=["in one axiom", "across steps"])
+def test_a_long_closure_chain_is_established(in_steps, tmp_path, capsys):
+    # Neither the closure nor the goal chain has a depth limit.
+    code, payload = check_ledger_json(chain_script(5000, in_steps), tmp_path, capsys)
+    assert code == 0
+    [goal] = payload["ledger"]["goals"]
+    assert goal["established"]
+    assert "H^1(X0) : torsion-free  <=  axiom chain" in goal["chain"]
+
+
+def test_a_failing_axiom_adds_none_of_its_facts(tmp_path, capsys):
+    script = {
+        "format": SCRIPT_FORMAT,
+        "spaces": [{"name": "X"}],
+        "axioms": [{"id": "bad", "facts": [
+            h1("X", "torsion_free"), h1("X", "iso_to", rank=0, torsion=[3])
+        ]}],
+        "goals": [h1("X", "torsion_free")],
+    }
+    code, payload = check_ledger_json(script, tmp_path, capsys)
+    assert code == 1
+    report = payload["ledger"]
+    assert report["axioms"][0]["ok"] is False
+    assert report["fact_count"] == 0
+    assert report["goals"] == [
+        {"fact": "H^1(X) : torsion-free", "established": False, "chain": []}
+    ]
+
+
+def one_thom_step(copies, rank=0, torsion=(3,)):
+    """H^1(P) from copies of H^0(C) = Z^rank + torsion by one thom_iso step."""
+    center = {
+        "subject": {"space": "C", "degree": 0},
+        "claim": {"kind": "iso_to", "rank": rank, "torsion": list(torsion)},
+    }
+    return {
+        "format": SCRIPT_FORMAT,
+        "spaces": [{"name": "C"}, {"name": "P"}],
+        "axioms": [{"id": "center", "facts": [center]}],
+        "steps": [{
+            "id": "t",
+            "rule": "thom_iso",
+            "params": {"pair": "P", "center": "C", "copies": copies, "codim": 1, "degrees": [1]},
+            "inputs": [center],
+        }],
+        "goals": [h1("P", "torsion_free")],
+    }
+
+
+def shipped_with(step_id, **params):
+    script = shipped_json()
+    next(s for s in script["steps"] if s["id"] == step_id)["params"].update(params)
+    return script
+
+
+HUGE_STEP_PARAMETERS = {
+    "k": (lambda: shipped_with("s01", k=10**9), "s01"),
+    "codim and degrees": (lambda: shipped_with("s05", codim=10**9, degrees=[10**9]), "s05"),
+    "copies": (lambda: one_thom_step(10**9), "t"),
+    "cover degree": (lambda: shipped_with("s11", cover_degree=2**61 - 1), "s11"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_STEP_PARAMETERS))
+def test_a_huge_step_parameter_fails_its_step_quickly(name, tmp_path, capsys):
+    make, step_id = HUGE_STEP_PARAMETERS[name]
+    started = time.perf_counter()
+    code, payload = check_ledger_json(make(), tmp_path, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    [record] = [r for r in payload["ledger"]["steps"] if r["id"] == step_id]
+    assert not record["ok"] and f"Error: step {step_id}: " in record["error"]
+
+
+def test_a_step_whose_output_cannot_be_printed_commits_nothing(tmp_path, capsys):
+    # Python prints no integer of more than 4300 digits; this rank has 4309.
+    code, payload = check_ledger_json(one_thom_step(10**18, 10**4290, ()), tmp_path, capsys)
+    assert code == 1
+    report = payload["ledger"]
+    assert report["steps"][0]["error"].startswith("ValueError: ")
+    assert report["fact_count"] == len(report["axioms"][0]["facts"])
+    assert report["goals"][0]["established"] is False
+
+
 # ------------------------------------------------------- check-ledger fuzzing
 
 JSON_VALUES = st.recursive(
@@ -437,6 +558,11 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
 )
+
+
+# Integers whose size a checker must not spend work on: a degree, a count
+# or a cover degree of this size fails its step, and no faster for less.
+HUGE_INTEGERS = (10**9, 2**61 - 1, 10**30)
 
 
 def script_shaped():
@@ -450,9 +576,15 @@ def script_shaped():
 def mutate(data, doc, names):
     """Replace, delete or duplicate one node of ``doc``, found by a random walk.
 
-    A replacement is arbitrary JSON, a small integer or one of ``names``.
+    A replacement is arbitrary JSON, a small or a huge integer or one of
+    ``names``.
     """
-    replacement = st.one_of(JSON_VALUES, st.integers(-2, 12), st.sampled_from(names))
+    replacement = st.one_of(
+        JSON_VALUES,
+        st.integers(-2, 12),
+        st.sampled_from(HUGE_INTEGERS),
+        st.sampled_from(names),
+    )
     node = doc
     while True:
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))

@@ -175,6 +175,13 @@ def test_thom_iso_rule():
     assert Fact(ref("(X,Y)", 3), Claim.is_zero()) in out  # negative shift
     assert Fact(ref("(X,Y)", 4), Claim.iso_to(FinAbGroup.free(81))) in out
     assert Fact(ref("(X,Y)", 5), Claim.is_zero()) in out
+    center_z3 = Fact(ref("Z", 0), Claim.iso_to(FinAbGroup(0, (3,))))
+    params = {"pair": "(X,Y)", "center": "Z", "copies": 3, "codim": 1, "degrees": [1]}
+    out = apply_rule(store_with(center_z3), step("thom_iso", params, [center_z3]))
+    assert Fact(ref("(X,Y)", 1), Claim.iso_to(FinAbGroup(0, (3, 3, 3)))) in out
+    with pytest.raises(ParameterMismatchError, match="over 10000 factors"):
+        too_many = params | {"copies": 10**4 + 1}
+        apply_rule(store_with(center_z3), step("thom_iso", too_many, [center_z3]))
 
 
 def test_unknown_rule_and_missing_input():

@@ -48,6 +48,45 @@ def test_group_canonicalization():
     assert FinAbGroup.free(2).direct_sum(FinAbGroup(0, (3,))) == FinAbGroup(2, (3,))
 
 
+def primary_parts(orders):
+    """The multiset of prime powers p^e exactly dividing each order, sorted."""
+    parts = []
+    for m in orders:
+        p = 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                parts.append(p**e)
+            p += 1
+    return sorted(parts)
+
+
+@given(st.lists(st.integers(2, 400), max_size=12), st.integers(0, 3))
+def test_from_factors_is_the_chain_with_the_same_primary_parts(factors, rank):
+    # Invariant factors are determined by their primary parts, and
+    # from_factors must keep those of the multiset it is given.
+    group = FinAbGroup.from_factors(rank, factors)
+    assert group.rank == rank
+    assert primary_parts(group.torsion) == primary_parts(factors)
+    assert FinAbGroup.from_factors(rank, reversed(factors)) == group
+
+
+@given(st.lists(st.integers(2, 60), max_size=5), st.integers(0, 2), st.integers(0, 6))
+def test_multiple_is_the_direct_sum_of_copies(factors, rank, copies):
+    group = FinAbGroup.from_factors(rank, factors)
+    expected = FinAbGroup.from_factors(rank * copies, list(group.torsion) * copies)
+    assert group.multiple(copies) == expected
+
+
+def test_from_factors_takes_many_factors():
+    # Linear in the number of factors.
+    assert FinAbGroup.from_factors(0, [3] * 10**5) == FinAbGroup(0, (3,) * 10**5)
+    assert FinAbGroup(0, (3,)).multiple(10**5) == FinAbGroup(0, (3,) * 10**5)
+
+
 def test_group_rendering():
     assert str(FinAbGroup.zero()) == "0"
     assert str(FinAbGroup.free(1)) == "Z"
