@@ -20,6 +20,12 @@ blocks, so Smith normal form runs block by block: the degree-4 lattice of
 the rank-8 model has rank 70 but blocks of rank at most 16.  The fixed
 rank and both parities are computed once per action and kept on it.
 
+The mod-3 Jordan type needs no product over F_3.  (s - 1)^2 = N - 3s is
+N mod 3, and (s - 1)^3 = s^3 - 1 - 3s(s - 1) is 0 mod 3 because s^3 = 1,
+which is checked over Z when the action is built.  So the ranks of
+(s - 1)^j mod 3 are those of s - 1 and N, which the cokernels already
+use, for j = 1, 2, and 0 from j = 3 on.
+
 There is also a closed form in terms of the mod-3 Jordan type of the
 action: (Z/3)^l1 in even degrees and (Z/3)^l2 in odd degrees.  The closed
 form is imported here as a theorem about lattices, not reproved; the
@@ -32,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Literal
 
-from .jordan import JordanType, jordan_type_unipotent
+from .jordan import JordanType, _type_from_ranks
 from .linalg import (
     BadDegreeError,
     FinAbGroup,
@@ -75,7 +81,8 @@ class LatticeAction(Value):
         if not (square @ m).is_identity():
             raise ValueError("the generator must cube to the identity")
         _set(self, "_square", square)
-        _set(self, "_norm", IntMatrix.identity(m.rows) + m + square)
+        _set(self, "_norm", (m + square).plus_identity(1))
+        _set(self, "_shifted", m.plus_identity(-1))
 
     @property
     def rank(self) -> int:
@@ -90,12 +97,12 @@ class LatticeAction(Value):
         return self._norm
 
     def shifted(self) -> IntMatrix:
-        return self.matrix - IntMatrix.identity(self.rank)
+        return self._shifted
 
     @cached_property
     def _invariants(self) -> tuple[int, FinAbGroup, FinAbGroup]:
         """(fixed rank, even, odd): two cokernels per coordinate direct summand."""
-        delta, norm = self.shifted(), self._norm
+        delta, norm = self._shifted, self._norm
         fixed, even, odd = 0, [], []
         for idx in _components(self.matrix):
             by_delta = cokernel(delta.principal_submatrix(idx))
@@ -158,8 +165,10 @@ def fixed_points(action: LatticeAction) -> FinAbGroup:
 
 
 def jordan_type_mod3(action: LatticeAction) -> JordanType:
-    """Jordan type of the action reduced mod 3."""
-    return jordan_type_unipotent(action.matrix.reduce_mod(3))
+    """Jordan type of the action reduced mod 3, from the ranks of s - 1 and N mod 3."""
+    return _type_from_ranks(
+        action.rank, [action.shifted().reduce_mod(3).rank(), action.norm().reduce_mod(3).rank()]
+    )
 
 
 # Up to genus, every order-3 lattice decomposes into three indecomposables:

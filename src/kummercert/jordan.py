@@ -147,13 +147,25 @@ def realize(a: JordanType) -> FpMatrix:
     return FpMatrix(3, rows, n)
 
 
-def jordan_type_unipotent(m: FpMatrix) -> JordanType:
-    """Jordan type of a unipotent matrix from its rank sequence.
+def _type_from_ranks(n: int, ranks: list[int]) -> JordanType:
+    """Jordan type of a unipotent n x n matrix m from r_j = rank((m - 1)^j).
 
-    With r_j = rank((m - 1)^j) and r_0 = n, the number of blocks of size q
-    is r_{q-1} - 2 r_q + r_{q+1}; this needs no change of basis, so the
-    result is conjugation-invariant by construction.
+    ``ranks`` lists r_1, ..., r_(p-1); r_0 = n and r_j = 0 from j = p on.
+    The number of blocks of size q is r_{q-1} - 2 r_q + r_{q+1}; this needs
+    no change of basis, so the result is conjugation-invariant by
+    construction.
     """
+    r = [n, *ranks, 0, 0]
+    counts = [r[q - 1] - 2 * r[q] + r[q + 1] for q in range(1, len(ranks) + 2)]
+    counts += [0] * (2 - len(ranks))
+    result = JordanType(*counts)
+    if result.dimension != n:
+        raise InvariantError(f"block counts {result} do not add up to dimension {n}")
+    return result
+
+
+def jordan_type_unipotent(m: FpMatrix) -> JordanType:
+    """Jordan type of a unipotent matrix from its rank sequence."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     p = m.p
@@ -166,13 +178,7 @@ def jordan_type_unipotent(m: FpMatrix) -> JordanType:
         powers.append(powers[-1] @ x)
     if not powers[p - 1].is_zero():
         raise NotUnipotentError(f"(m - 1)^{p} is non-zero")
-    ranks = [n] + [powers[j - 1].rank() for j in range(1, p)] + [0, 0]
-    counts = [ranks[q - 1] - 2 * ranks[q] + ranks[q + 1] for q in range(1, p + 1)]
-    counts += [0] * (3 - p)
-    result = JordanType(*counts)
-    if result.dimension != n:
-        raise InvariantError(f"block counts {result} do not add up to dimension {n}")
-    return result
+    return _type_from_ranks(n, [power.rank() for power in powers[: p - 1]])
 
 
 def types_up_to_dim(max_dim: int) -> list[JordanType]:

@@ -34,6 +34,8 @@ twice yields byte-identical output.
 
 from __future__ import annotations
 
+import itertools
+
 from .kummer import CertificateFailure, KummerContext
 from .linalg import FinAbGroup, Value, _set, prime_factors
 
@@ -316,8 +318,9 @@ class FactStore:
     def __len__(self) -> int:
         return len(self._facts)
 
-    def facts_list(self) -> list[Fact]:
-        return list(self._facts)
+    def facts_since(self, n: int) -> list[Fact]:
+        """The facts added after the first ``n``, in insertion order, read from the end."""
+        return list(itertools.islice(reversed(self._facts), len(self._facts) - n))[::-1]
 
     def provenance(self, fact: Fact) -> tuple:
         return self._facts[fact]
@@ -945,7 +948,7 @@ def check_script(script: Script) -> Report:
         before = len(store)
         try:
             store = _commit(store, ax.facts, ("axiom", ax.id))
-            new = tuple(f.render() for f in store.facts_list()[before:])
+            new = tuple(f.render() for f in store.facts_since(before))
             axiom_records.append(AxiomRecord(ax.id, True, None, new))
         except LedgerError as exc:
             message = f"{type(exc).__name__}: {exc}"
@@ -957,7 +960,7 @@ def check_script(script: Script) -> Report:
         try:
             after = apply_rule(store, st)
             # Rendered before the commit, so that an unprintable output commits nothing.
-            new = tuple(f.render() for f in after.facts_list()[before:])
+            new = tuple(f.render() for f in after.facts_since(before))
             store = after
             step_records.append(StepRecord(st.id, st.rule, True, None, new))
         except Exception as exc:

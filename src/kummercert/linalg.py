@@ -208,8 +208,10 @@ class FinAbGroup(Value):
         """Direct sum of ``copies`` copies of this group."""
         if copies < 0:
             raise ValueError("copies must be non-negative")
-        # Sorted, the repeated chain is again a divisibility chain.
-        return FinAbGroup(self.rank * copies, tuple(sorted(self.torsion * copies)))
+        # Sorted, the repeated chain is again a divisibility chain.  An empty
+        # chain is not repeated: ``() * copies`` overflows from 2^63 copies.
+        torsion = tuple(sorted(self.torsion * copies)) if self.torsion else ()
+        return FinAbGroup(self.rank * copies, torsion)
 
     @property
     def is_zero(self) -> bool:
@@ -502,6 +504,13 @@ class IntMatrix:
             self.cols,
         )
 
+    def plus_identity(self, c: int) -> "IntMatrix":
+        """self + c * identity, touching only the diagonal of a square matrix."""
+        rows = [list(row) for row in self.data]
+        for i, row in enumerate(rows):
+            row[i] += c
+        return IntMatrix._trusted(tuple([tuple(row) for row in rows]), self.cols)
+
     def _same_shape(self, other: "IntMatrix") -> None:
         if not isinstance(other, IntMatrix) or self.shape != other.shape:
             raise ValueError("mismatched shapes")
@@ -593,69 +602,47 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _swap_rows(a, u, i, j):
-    if i != j:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
-    if i != j:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-
-def _row_combine(a, u, i, j, q):
+def _row_combine(a, i, j, q):
     # row_i -= q * row_j
-    for mat in (a, u):
-        ri, rj = mat[i], mat[j]
-        for c in range(len(ri)):
-            ri[c] -= q * rj[c]
+    a[i] = [x - q * y for x, y in zip(a[i], a[j])]
 
 
-def _col_combine(a, v, i, j, q):
+def _col_combine(a, i, j, q):
     # col_i -= q * col_j
-    for mat in (a, v):
-        for row in mat:
-            row[i] -= q * row[j]
+    for row in a:
+        row[i] -= q * row[j]
 
 
-def _two_rows(a, u, r1, r2, c11, c12, c21, c22):
+def _two_rows(a, r1, r2, c11, c12, c21, c22):
     # (row_r1, row_r2) <- (c11*row_r1 + c12*row_r2, c21*row_r1 + c22*row_r2)
-    for mat in (a, u):
-        row1, row2 = mat[r1], mat[r2]
-        for k in range(len(row1)):
-            e1, e2 = row1[k], row2[k]
-            row1[k] = c11 * e1 + c12 * e2
-            row2[k] = c21 * e1 + c22 * e2
+    row1, row2 = a[r1], a[r2]
+    a[r1] = [c11 * e1 + c12 * e2 for e1, e2 in zip(row1, row2)]
+    a[r2] = [c21 * e1 + c22 * e2 for e1, e2 in zip(row1, row2)]
 
 
-def _two_cols(a, v, c1, c2, c11, c12, c21, c22):
+def _two_cols(a, c1, c2, c11, c12, c21, c22):
     # (col_c1, col_c2) <- (c11*col_c1 + c12*col_c2, c21*col_c1 + c22*col_c2)
-    for mat in (a, v):
-        for row in mat:
-            e1, e2 = row[c1], row[c2]
-            row[c1] = c11 * e1 + c12 * e2
-            row[c2] = c21 * e1 + c22 * e2
+    for row in a:
+        e1, e2 = row[c1], row[c2]
+        row[c1] = c11 * e1 + c12 * e2
+        row[c2] = c21 * e1 + c22 * e2
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: unimodular u, v with u @ m @ v = d diagonal.
+def _diagonalize(a: list[list[int]], nrows: int, ncols: int) -> int:
+    """Bring the leading nrows x ncols block of ``a`` to Smith form in place.
 
-    The diagonal of d is non-negative and forms a divisibility chain
-    d1 | d2 | ... .  Each off-pivot entry is removed by a single
-    determinant-one transform built from an extended gcd (rather than by
-    repeated Euclidean subtraction of whole rows), which keeps coefficient
-    growth tame; the divisibility chain is then restored by pairwise
-    gcd/lcm fix-ups on the diagonal.
+    Returns the rank.  The pivots are sought in that block only, but a row
+    operation acts on a whole row of ``a`` and a column operation on every
+    row, so the entries past column ncols and the rows past row nrows ride
+    along as companions: ``smith_normal_form`` puts the identity beside and
+    below the matrix there to record u and v, ``cokernel`` puts nothing.
+
+    Each off-pivot entry is removed by a single determinant-one transform
+    built from an extended gcd (rather than by repeated Euclidean
+    subtraction of whole rows), which keeps coefficient growth tame; the
+    divisibility chain is then restored by pairwise gcd/lcm fix-ups on the
+    diagonal.
     """
-    nrows, ncols = m.rows, m.cols
-    a = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
     rank = 0
     for t in range(min(nrows, ncols)):
         # Move the entry of minimal non-zero absolute value to the pivot.
@@ -670,13 +657,12 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     pr, pc = i, j
         if pr < 0:
             break
-        _swap_rows(a, u, t, pr)
-        _swap_cols(a, v, t, pc)
+        a[t], a[pr] = a[pr], a[t]
+        if pc != t:
+            for row in a:
+                row[t], row[pc] = row[pc], row[t]
         if a[t][t] < 0:
-            for c in range(ncols):
-                a[t][c] = -a[t][c]
-            for c in range(nrows):
-                u[t][c] = -u[t][c]
+            a[t] = [-x for x in a[t]]
 
         while True:
             pivot = a[t][t]
@@ -685,23 +671,23 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if not e:
                     continue
                 if e % pivot == 0:
-                    _row_combine(a, u, i, t, e // pivot)
+                    _row_combine(a, i, t, e // pivot)
                 else:
                     g, x, y = _xgcd(pivot, e)
-                    _two_rows(a, u, t, i, x, y, -(e // g), pivot // g)
+                    _two_rows(a, t, i, x, y, -(e // g), pivot // g)
                     pivot = g
             for j in range(t + 1, ncols):
                 e = a[t][j]
                 if not e:
                     continue
                 if e % pivot == 0:
-                    _col_combine(a, v, j, t, e // pivot)
+                    _col_combine(a, j, t, e // pivot)
                 else:
                     # The gcd transform rewrites column t, so the cleared
                     # column can get dirty again; the pivot strictly
                     # shrinks each time, so the outer loop terminates.
                     g, x, y = _xgcd(pivot, e)
-                    _two_cols(a, v, t, j, x, y, -(e // g), pivot // g)
+                    _two_cols(a, t, j, x, y, -(e // g), pivot // g)
                     pivot = g
             if not any(a[i][t] for i in range(t + 1, nrows)) and not any(
                 a[t][j] for j in range(t + 1, ncols)
@@ -718,18 +704,33 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 continue
             # Pull d_j into row i, then one gcd transform on columns
             # (i, j) leaves diag entries gcd and lcm.
-            _row_combine(a, u, i, j, -1)
+            _row_combine(a, i, j, -1)
             g, x, y = _xgcd(a[i][i], a[i][j])
-            _two_cols(a, v, i, j, x, y, -(a[i][j] // g), a[i][i] // g)
-            _row_combine(a, u, j, i, a[j][i] // a[i][i])
+            _two_cols(a, i, j, x, y, -(a[i][j] // g), a[i][i] // g)
+            _row_combine(a, j, i, a[j][i] // a[i][i])
 
     for t in range(rank):
         if a[t][t] <= 0:
             raise InvariantError(f"Smith normal form pivot {t} is {a[t][t]}, not positive")
+    return rank
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: unimodular u, v with u @ m @ v = d diagonal.
+
+    The diagonal of d is non-negative and forms a divisibility chain
+    d1 | d2 | ... .  u is recorded as columns beside m and v as rows below
+    it, through which ``_diagonalize`` carries its row and column
+    operations.
+    """
+    nrows, ncols = m.rows, m.cols
+    a = [list(row) + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(m.data)]
+    a += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    _diagonalize(a, nrows, ncols)
     return (
-        IntMatrix._trusted(tuple([tuple(row) for row in u]), nrows),
-        IntMatrix._trusted(tuple([tuple(row) for row in a]), ncols),
-        IntMatrix._trusted(tuple([tuple(row) for row in v]), ncols),
+        IntMatrix._trusted(tuple([tuple(row[ncols:]) for row in a[:nrows]]), nrows),
+        IntMatrix._trusted(tuple([tuple(row[:ncols]) for row in a[:nrows]]), ncols),
+        IntMatrix._trusted(tuple([tuple(row) for row in a[nrows:]]), ncols),
     )
 
 
@@ -739,10 +740,9 @@ def _diagonal(d: IntMatrix) -> list[int]:
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
     """Invariants of Z^rows modulo the column span of m."""
-    _, d, _ = smith_normal_form(m)
-    nonzero = [x for x in _diagonal(d) if x != 0]
-    rank = m.rows - len(nonzero)
-    return FinAbGroup(rank, tuple(x for x in nonzero if x > 1))
+    a = [list(row) for row in m.data]
+    rank = _diagonalize(a, m.rows, m.cols)
+    return FinAbGroup(m.rows - rank, tuple([a[i][i] for i in range(rank) if a[i][i] > 1]))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kummercert
-from kummercert import kummer, ledger, linalg
+from kummercert import jordan, kummer, ledger, linalg
 from kummercert.cli import ConfigError, RunConfig, main, run
 from kummercert.ledger import (
     SCRIPT_FORMAT,
@@ -196,26 +196,36 @@ def test_json_reports_match_golden_bytes(name, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
-def test_full_cert_builds_each_lattice_once(monkeypatch):
-    degrees = []
-    mat_pows = []
-    coefficient_action = kummer.coefficient_action
-    mat_pow = IntMatrix.mat_pow
+def full_cert_calls(monkeypatch, *targets):
+    """Run full-cert with each (owner, name) wrapped; the arguments of every call, by name.
 
-    def counted_coefficient_action(action, q):
-        degrees.append(q)
-        return coefficient_action(action, q)
+    A method is wrapped on its class; a function in every kummercert module
+    that binds it, so calls made across modules are seen too.
+    """
+    calls = {name: [] for _, name in targets}
+    for owner, name in targets:
+        original = getattr(owner, name)
 
-    def counted_mat_pow(self, e):
-        mat_pows.append(e)
-        return mat_pow(self, e)
+        def counted(*args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(*args)
 
-    monkeypatch.setattr(kummer, "coefficient_action", counted_coefficient_action)
-    monkeypatch.setattr(IntMatrix, "mat_pow", counted_mat_pow)
+        owners = [owner] if isinstance(owner, type) else [
+            m for n, m in sys.modules.items()
+            if n.startswith("kummercert") and getattr(m, name, None) is original
+        ]
+        for o in owners:
+            monkeypatch.setattr(o, name, counted)
     code, _, _ = run(RunConfig("full-cert"))
     assert code == 0
+    return calls
+
+
+def test_full_cert_builds_each_lattice_once(monkeypatch):
+    calls = full_cert_calls(monkeypatch, (kummer, "coefficient_action"), (IntMatrix, "mat_pow"))
+    degrees = [q for _, q in calls["coefficient_action"]]
     assert len(degrees) <= 6 and len(set(degrees)) == len(degrees)
-    assert mat_pows == []
+    assert calls["mat_pow"] == []
 
 
 def run_python(*args):
@@ -270,38 +280,30 @@ def test_importing_the_package_imports_no_submodule():
 
 def test_full_cert_runs_smith_normal_form_on_blocks_only(monkeypatch):
     # Lambda^3 and Lambda^4 of the rank-8 model have rank 56 and 70, but
-    # their direct summands have rank at most 16.
-    shapes = []
-    smith_normal_form = linalg.smith_normal_form
-
-    def counted(m):
-        shapes.append(m.shape)
-        return smith_normal_form(m)
-
-    monkeypatch.setattr(linalg, "smith_normal_form", counted)
-    code, _, _ = run(RunConfig("full-cert"))
-    assert code == 0
-    assert shapes and max(max(shape) for shape in shapes) <= 16
+    # their direct summands have rank at most 16.  Every Smith normal form,
+    # with transforms or without, is one run of the elimination.
+    calls = full_cert_calls(monkeypatch, (linalg, "_diagonalize"))
+    sides = [max(nrows, ncols) for _, nrows, ncols in calls["_diagonalize"]]
+    assert sides and max(sides) <= 16
 
 
 def test_full_cert_runs_no_kernel_basis_or_exact_solve(monkeypatch):
     # The groups come from two cokernels per block, so neither the saturated
     # kernel basis nor the exact solve is on the certified path.
-    calls = []
-    for name in ("kernel_basis", "solve_exact", "smith_normal_form"):
-        original = getattr(linalg, name)
+    calls = full_cert_calls(
+        monkeypatch, (linalg, "kernel_basis"), (linalg, "solve_exact"), (linalg, "_diagonalize")
+    )
+    assert calls["kernel_basis"] == [] and calls["solve_exact"] == []
+    assert 0 < len(calls["_diagonalize"]) <= 300
 
-        def counted(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
 
-        for module in [m for n, m in sys.modules.items() if n.startswith("kummercert")]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    code, _, _ = run(RunConfig("full-cert"))
-    assert code == 0
-    assert "kernel_basis" not in calls and "solve_exact" not in calls
-    assert 0 < calls.count("smith_normal_form") <= 300
+def test_full_cert_forms_no_f3_product(monkeypatch):
+    # Mod-3 types come from the ranks of s - 1 and N, which the lattice
+    # action already holds; no power of s - 1 is formed over F_3.
+    calls = full_cert_calls(
+        monkeypatch, (linalg.FpMatrix, "__matmul__"), (jordan, "jordan_type_unipotent")
+    )
+    assert calls == {"__matmul__": [], "jordan_type_unipotent": []}
 
 
 def shipped_json():
@@ -548,6 +550,14 @@ def test_a_step_whose_output_cannot_be_printed_commits_nothing(tmp_path, capsys)
     assert report["steps"][0]["error"].startswith("ValueError: ")
     assert report["fact_count"] == len(report["axioms"][0]["facts"])
     assert report["goals"][0]["established"] is False
+
+
+def test_huge_copies_of_a_torsion_free_center_pass_their_step(tmp_path, capsys):
+    # Z^(10^30) taken 10^30 times is Z^(10^60); no chain of factors to bound.
+    code, payload = check_ledger_json(one_thom_step(10**30, 10**30, ()), tmp_path, capsys)
+    assert code == 0
+    [record] = payload["ledger"]["steps"]
+    assert record["ok"] and record["outputs"][0] == f"H^1(P) : iso(Z^{10**60})"
 
 
 # ------------------------------------------------------- check-ledger fuzzing

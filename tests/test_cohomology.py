@@ -15,8 +15,8 @@ from kummercert.cohomology import (
     random_conjugated_block_action,
     random_unimodular,
 )
-from kummercert.jordan import JordanType
-from kummercert.kummer import build_model
+from kummercert.jordan import JordanType, jordan_type_unipotent
+from kummercert.kummer import build_model, coefficient_action
 from kummercert.linalg import (
     BadDegreeError,
     FinAbGroup,
@@ -136,6 +136,25 @@ def test_cross_validation_smoke():
             assert cohomology_snf(action, degree) == cohomology_closed_form(observed, parity)
 
 
+def test_mod3_type_from_two_ranks_equals_the_unipotent_profile():
+    # jordan_type_mod3 reads only rank(s - 1) and rank(N) mod 3; the
+    # reference forms the powers of s - 1 over F_3 and checks the cube.
+    def check(action):
+        assert jordan_type_mod3(action) == jordan_type_unipotent(action.matrix.reduce_mod(3))
+
+    check(LatticeAction(IntMatrix.zeros(0, 0)))
+    check(TRIVIAL)
+    for action in build_model().powers.values():
+        check(action)
+    rng = random.Random(53)
+    for _ in range(2000):
+        action, counts = random_conjugated_block_action(rng, max_rank=12)
+        check(action)
+        check(action.squared())
+        if counts.dimension >= 2:
+            check(coefficient_action(action, 2))
+
+
 def test_cross_validation_stops_at_the_first_mismatch(monkeypatch):
     assert cross_validate(random.Random(41), 20, max_rank=10)
     draws = []
@@ -167,11 +186,9 @@ def snf_input_dims(fn, *args):
 
     The largest side is 0 when the call made no Smith normal form at all.
     """
-    with mock.patch.object(
-        linalg, "smith_normal_form", wraps=linalg.smith_normal_form
-    ) as snf:
+    with mock.patch.object(linalg, "_diagonalize", wraps=linalg._diagonalize) as snf:
         result = fn(*args)
-    return result, max((max(c.args[0].shape) for c in snf.call_args_list), default=0)
+    return result, max((max(c.args[1:]) for c in snf.call_args_list), default=0)
 
 
 def test_block_diagonal_action_is_the_direct_sum_of_its_blocks():

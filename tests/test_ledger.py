@@ -252,7 +252,17 @@ def test_apply_rule_is_pure_and_idempotent():
     out1 = apply_rule(store, the_step)
     assert Fact(ref("Y", 3), Claim.only_primes((3,))) not in store
     out2 = apply_rule(out1, the_step)
-    assert out1.facts_list() == out2.facts_list()
+    assert out1.facts_since(0) == out2.facts_since(0)
+
+
+def test_facts_since_lists_the_newest_facts_in_insertion_order():
+    store = store_with(
+        Fact(ref("X", 3), Claim.is_zero()), Fact(ref("Y", 2), Claim.iso_to(FinAbGroup(1, (3,))))
+    )
+    listed = list(store._facts)
+    assert len(listed) > 2  # closure facts too
+    for n in range(len(listed) + 1):
+        assert store.facts_since(n) == listed[n:]
 
 
 # ------------------------------------------------------------ whole scripts

@@ -87,6 +87,11 @@ def test_from_factors_takes_many_factors():
     assert FinAbGroup(0, (3,)).multiple(10**5) == FinAbGroup(0, (3,) * 10**5)
 
 
+def test_multiple_of_a_free_group_takes_huge_copies():
+    assert FinAbGroup.free(10**30).multiple(10**30) == FinAbGroup.free(10**60)
+    assert FinAbGroup.zero().multiple(2**64) == FinAbGroup.zero()
+
+
 def test_group_rendering():
     assert str(FinAbGroup.zero()) == "0"
     assert str(FinAbGroup.free(1)) == "Z"
@@ -427,9 +432,13 @@ def test_internally_built_results_are_well_formed(n, k, m, data):
         square.principal_submatrix(block),
         *smith_normal_form(a),
         exterior_power(square, data.draw(st.integers(0, n))),
+        square.plus_identity(data.draw(st.sampled_from((-1, 1)))),
     ]
     for result in results:
         assert_well_formed(result)
+    identity = IntMatrix.identity(n)
+    assert square.plus_identity(1) == square + identity
+    assert square.plus_identity(-1) == square - identity
 
 
 # ----------------------------------------------------------- cokernel, kernel
@@ -440,6 +449,24 @@ def test_cokernel_examples():
     assert cokernel(IntMatrix.identity(2)) == FinAbGroup.zero()
     # By-hand Smith form of [[1,1],[2,2]] is diag(1, 0): free of rank 1.
     assert cokernel(fixture_matrix("rank_one_pair")) == FinAbGroup.free(1)
+
+
+def group_from_snf(m):
+    """coker(m) read off the diagonal of ``smith_normal_form(m)``; ``cokernel``'s reference."""
+    _, d, _ = smith_normal_form(m)
+    nonzero = [x for x in (d.data[i][i] for i in range(min(d.rows, d.cols))) if x]
+    return FinAbGroup(m.rows - len(nonzero), tuple([x for x in nonzero if x > 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_cokernel_equals_the_group_read_off_the_smith_normal_form(rows, cols, data):
+    bits = data.draw(st.sampled_from((1, 4, 40)))
+    m = data.draw(matrices(rows, cols, st.integers(-(2**bits), 2**bits))).to_lists()
+    m = blank_out(m, data.draw(st.sets(st.integers(0, max(rows - 1, 0)))), False)
+    m = blank_out(m, data.draw(st.sets(st.integers(0, max(cols - 1, 0)))), True)
+    m = IntMatrix(m, cols)
+    assert cokernel(m) == group_from_snf(m)
 
 
 def test_kernel_of_identity_is_empty():
