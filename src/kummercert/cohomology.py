@@ -24,7 +24,8 @@ The mod-3 Jordan type needs no product over F_3.  (s - 1)^2 = N - 3s is
 N mod 3, and (s - 1)^3 = s^3 - 1 - 3s(s - 1) is 0 mod 3 because s^3 = 1,
 which is checked over Z when the action is built.  So the ranks of
 (s - 1)^j mod 3 are those of s - 1 and N, which the cokernels already
-use, for j = 1, 2, and 0 from j = 3 on.
+use, for j = 1, 2, and 0 from j = 3 on.  Both ranks are read straight off
+the integer rows, with no reduced F_3 copy of either matrix.
 
 There is also a closed form in terms of the mod-3 Jordan type of the
 action: (Z/3)^l1 in even degrees and (Z/3)^l2 in odd degrees.  The closed
@@ -166,9 +167,7 @@ def fixed_points(action: LatticeAction) -> FinAbGroup:
 
 def jordan_type_mod3(action: LatticeAction) -> JordanType:
     """Jordan type of the action reduced mod 3, from the ranks of s - 1 and N mod 3."""
-    return _type_from_ranks(
-        action.rank, [action.shifted().reduce_mod(3).rank(), action.norm().reduce_mod(3).rank()]
-    )
+    return _type_from_ranks(action.rank, [action.shifted().rank_mod(3), action.norm().rank_mod(3)])
 
 
 # Up to genus, every order-3 lattice decomposes into three indecomposables:

@@ -4,10 +4,10 @@ An order-3 integer matrix reduced mod 3 is unipotent, so it decomposes
 into Jordan blocks of sizes 1, 2 and 3 with eigenvalue 1; these are the
 indecomposable modules N1, N2, N3 of the group algebra F_3[Z/3].  The
 block counts (l1, l2, l3) form the JordanType.  Direct sum, tensor product
-and exterior power act on the counts through a closed-form rule table.
-The table is small enough to transcribe wrongly, so the test suite
-certifies every rule against the matrix realization: Kronecker products
-and compound matrices followed by a Jordan-profile computation.
+and exterior power act on the counts through closed-form rules, small
+enough to transcribe wrongly, so the test suite certifies every rule
+against the matrix realization: Kronecker products and compound matrices
+followed by a Jordan-profile computation.
 """
 
 from __future__ import annotations
@@ -68,17 +68,6 @@ def direct_sum(a: JordanType, b: JordanType) -> JordanType:
     return JordanType(a.l1 + b.l1, a.l2 + b.l2, a.l3 + b.l3)
 
 
-# N_q (x) N_r for q <= r, as block-count vectors.  N1 is the unit; the
-# p = 3 products are N2 (x) N2 = N1 + N3, N2 (x) N3 = 2 N3, N3 (x) N3 = 3 N3.
-_PRODUCT = {
-    (1, 1): (1, 0, 0),
-    (1, 2): (0, 1, 0),
-    (1, 3): (0, 0, 1),
-    (2, 2): (1, 0, 1),
-    (2, 3): (0, 0, 2),
-    (3, 3): (0, 0, 3),
-}
-
 # The j-th exterior power of a single block N_q, indexed [q][j].
 _WEDGE_BLOCK = {
     1: ((1, 0, 0), (1, 0, 0)),
@@ -87,44 +76,48 @@ _WEDGE_BLOCK = {
 }
 
 
+def _tensor_counts(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Block counts of a (x) b, extended bilinearly from the block products.
+
+    N1 is the unit; for p = 3, N2 (x) N2 = N1 + N3, N2 (x) N3 = 2 N3 and
+    N3 (x) N3 = 3 N3.
+    """
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return (
+        a1 * b1 + a2 * b2,
+        a1 * b2 + a2 * b1,
+        a1 * b3 + a3 * b1 + a2 * b2 + 2 * (a2 * b3 + a3 * b2) + 3 * a3 * b3,
+    )
+
+
 def tensor(a: JordanType, b: JordanType) -> JordanType:
-    """Tensor product, extended bilinearly from the block table."""
-    out = [0, 0, 0]
-    for q, cq in ((1, a.l1), (2, a.l2), (3, a.l3)):
-        if not cq:
-            continue
-        for r, cr in ((1, b.l1), (2, b.l2), (3, b.l3)):
-            if not cr:
-                continue
-            vec = _PRODUCT[(q, r) if q <= r else (r, q)]
-            mult = cq * cr
-            out[0] += mult * vec[0]
-            out[1] += mult * vec[1]
-            out[2] += mult * vec[2]
-    return JordanType(*out)
+    """Tensor product of two Jordan types."""
+    return JordanType(*_tensor_counts(a.counts(), b.counts()))
 
 
 def wedge(a: JordanType, k: int) -> JordanType:
     """k-th exterior power via the binomial expansion over the blocks.
 
     wedge_k(X + Y) = sum over i + j = k of wedge_i(X) (x) wedge_j(Y),
-    applied one block at a time with the single-block base cases.
+    applied one block at a time with the single-block base cases, on
+    count triples.
     """
     if k < 0 or k > a.dimension:
         raise BadDegreeError(f"degree {k} out of range for dimension {a.dimension}")
-    table = [JordanType(1, 0, 0)]
+    table = [(1, 0, 0)]
     for size, count in ((1, a.l1), (2, a.l2), (3, a.l3)):
+        block = _WEDGE_BLOCK[size]
         for _ in range(count):
-            upper = min(k, len(table) - 1 + size)
-            new = [JordanType(0, 0, 0)] * (upper + 1)
+            new = [(0, 0, 0)] * (min(k, len(table) - 1 + size) + 1)
             for i, part in enumerate(table):
-                if part.counts() == (0, 0, 0):
-                    continue
                 for j in range(min(size, k - i) + 1):
-                    piece = tensor(part, JordanType(*_WEDGE_BLOCK[size][j]))
-                    new[i + j] = direct_sum(new[i + j], piece)
+                    x1, x2, x3 = new[i + j]
+                    y1, y2, y3 = _tensor_counts(part, block[j])
+                    new[i + j] = (x1 + y1, x2 + y2, x3 + y3)
             table = new
-    return table[k] if k < len(table) else JordanType(0, 0, 0)
+    # One entry per degree 0..min(k, dimension) = 0..k.
+    return JordanType(*table[k])
 
 
 _BLOCK_MATRICES = {

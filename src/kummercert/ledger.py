@@ -322,6 +322,19 @@ class FactStore:
         """The facts added after the first ``n``, in insertion order, read from the end."""
         return list(itertools.islice(reversed(self._facts), len(self._facts) - n))[::-1]
 
+    def rollback(self, n: int) -> None:
+        """Remove the facts added after the first ``n``, newest first, and their index entries."""
+        while len(self._facts) > n:
+            fact, _ = self._facts.popitem()
+            refs = [(self._by_subject, fact.subject)]
+            if fact.claim.kind in ("torsion_equals", "torsion_injects_into"):
+                refs += [(self._relations, fact.subject), (self._relations, fact.claim.other)]
+            for index, ref in refs:
+                # The newest fact is last in every index entry it extended.
+                index[ref] = index[ref][:-1]
+                if not index[ref]:
+                    del index[ref]
+
     def provenance(self, fact: Fact) -> tuple:
         return self._facts[fact]
 
@@ -810,6 +823,13 @@ def apply_rule(store: FactStore, step: Step) -> FactStore:
     conclusions (and their closure) added.  Re-applying an already-applied
     step is a no-op.
     """
+    new = store.copy()
+    _commit(new, _step_outputs(store, step), ("step", step.id))
+    return new
+
+
+def _step_outputs(store: FactStore, step: Step) -> list[Fact]:
+    """The facts ``step`` concludes, once its declared inputs are checked against ``store``."""
     handler = _RULES.get(step.rule)
     if handler is None:
         raise UnknownRuleError(f"step {step.id}: unknown rule {step.rule!r}")
@@ -820,15 +840,22 @@ def apply_rule(store: FactStore, step: Step) -> FactStore:
     for fact in consumed:
         if fact not in store:
             raise MissingInputError(f"step {step.id}: input not established: {fact.render()}")
-    return _commit(store, outputs, ("step", step.id))
+    return outputs
 
 
-def _commit(store: FactStore, facts, source: tuple) -> FactStore:
-    """A copy of ``store`` with ``facts`` and their closure: all of them or, on error, none."""
-    new = store.copy()
-    for fact in facts:
-        new.add(fact, source)
-    return new
+def _commit(store: FactStore, facts, source: tuple) -> tuple[str, ...]:
+    """Add ``facts`` and their closure to ``store``, all or none; render what was added.
+
+    On any error, rendering included, the store is rolled back to where it was.
+    """
+    mark = len(store)
+    try:
+        for fact in facts:
+            store.add(fact, source)
+        return tuple(f.render() for f in store.facts_since(mark))
+    except BaseException:
+        store.rollback(mark)
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -945,10 +972,8 @@ def check_script(script: Script) -> Report:
     first_failure: str | None = None
     axiom_records = []
     for ax in script.axioms:
-        before = len(store)
         try:
-            store = _commit(store, ax.facts, ("axiom", ax.id))
-            new = tuple(f.render() for f in store.facts_since(before))
+            new = _commit(store, ax.facts, ("axiom", ax.id))
             axiom_records.append(AxiomRecord(ax.id, True, None, new))
         except LedgerError as exc:
             message = f"{type(exc).__name__}: {exc}"
@@ -956,12 +981,8 @@ def check_script(script: Script) -> Report:
             first_failure = first_failure or f"axiom {ax.id}: {message}"
     step_records = []
     for st in script.steps:
-        before = len(store)
         try:
-            after = apply_rule(store, st)
-            # Rendered before the commit, so that an unprintable output commits nothing.
-            new = tuple(f.render() for f in after.facts_since(before))
-            store = after
+            new = _commit(store, _step_outputs(store, st), ("step", st.id))
             step_records.append(StepRecord(st.id, st.rule, True, None, new))
         except Exception as exc:
             # Not only LedgerError: a rule that trips over a malformed

@@ -334,32 +334,8 @@ class FpMatrix:
         return not any(map(any, self.data))
 
     def rank(self) -> int:
-        """Row rank by exact Gaussian elimination over F_p.
-
-        Rows are reduced one at a time against the pivot rows found so far;
-        every row is a dict of its non-zero entries, so the work follows
-        the non-zeros and their fill-in rather than the full width.
-        """
-        p = self.p
-        # Pivot column -> pivot row, scaled to 1 there and zero before it.
-        pivots: dict[int, dict[int, int]] = {}
-        for entries in self.data:
-            row = dict(_nonzero(entries))
-            while row:
-                c = min(row)
-                pivot = pivots.get(c)
-                if pivot is None:
-                    inv = pow(row[c], -1, p)
-                    pivots[c] = {j: x * inv % p for j, x in row.items()}
-                    break
-                f = row[c]
-                for j, x in pivot.items():
-                    y = (row.get(j, 0) - f * x) % p
-                    if y:
-                        row[j] = y
-                    else:
-                        row.pop(j, None)
-        return len(pivots)
+        """Row rank by exact Gaussian elimination over F_p."""
+        return _rank_mod(self.data, self.p)
 
     def lift(self) -> "IntMatrix":
         """The entries read as integers in [0, p)."""
@@ -388,6 +364,37 @@ def _residue_table(p: int) -> bytes:
 def _nonzero(row):
     """(index, value) for the non-zero entries of a row, in order."""
     return zip(itertools.compress(itertools.count(), row), filter(None, row))
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank over F_p of integer rows, by exact Gaussian elimination.
+
+    Every row is a dict of its entries that are non-zero mod p, so the work
+    follows the non-zeros and their fill-in rather than the full width.
+    Zero rows are dropped and the rest reduced sparsest first, one at a time
+    against the pivot rows found so far: the rank does not depend on the
+    order, and sparse pivots cause less fill-in.
+    """
+    reduced = [{j: y for j, x in _nonzero(row) if (y := x % p)} for row in rows]
+    reduced = sorted(filter(None, reduced), key=len)
+    # Pivot column -> pivot row, scaled to 1 there and zero before it.
+    pivots: dict[int, dict[int, int]] = {}
+    for row in reduced:
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in row.items()}
+                break
+            f = row[c]
+            for j, x in pivot.items():
+                y = (row.get(j, 0) - f * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 def _product_rows(a_rows, b_rows, width: int):
@@ -547,6 +554,11 @@ class IntMatrix:
         idx = list(indices)
         data = self.data
         return IntMatrix._trusted(tuple([tuple([data[i][j] for j in idx]) for i in idx]), len(idx))
+
+    def rank_mod(self, p: int) -> int:
+        """Rank over F_p, read off the integer rows without a reduced copy."""
+        _check_modulus(p)
+        return _rank_mod(self.data, p)
 
     def reduce_mod(self, p: int) -> FpMatrix:
         _check_modulus(p)

@@ -299,11 +299,16 @@ def test_full_cert_runs_no_kernel_basis_or_exact_solve(monkeypatch):
 
 def test_full_cert_forms_no_f3_product(monkeypatch):
     # Mod-3 types come from the ranks of s - 1 and N, which the lattice
-    # action already holds; no power of s - 1 is formed over F_3.
+    # action already holds; no power of s - 1 is formed over F_3, and the
+    # ranks are read off the integer rows without a reduced F_3 copy.
     calls = full_cert_calls(
-        monkeypatch, (linalg.FpMatrix, "__matmul__"), (jordan, "jordan_type_unipotent")
+        monkeypatch,
+        (linalg.FpMatrix, "__matmul__"),
+        (jordan, "jordan_type_unipotent"),
+        (IntMatrix, "reduce_mod"),
+        (linalg.FpMatrix, "rank"),
     )
-    assert calls == {"__matmul__": [], "jordan_type_unipotent": []}
+    assert calls == {"__matmul__": [], "jordan_type_unipotent": [], "reduce_mod": [], "rank": []}
 
 
 def shipped_json():
@@ -476,6 +481,21 @@ def test_a_long_closure_chain_is_established(in_steps, tmp_path, capsys):
     [goal] = payload["ledger"]["goals"]
     assert goal["established"]
     assert "H^1(X0) : torsion-free  <=  axiom chain" in goal["chain"]
+
+
+def test_a_long_step_chain_replays_in_one_store(monkeypatch):
+    # Each step commits in place; only apply_rule, which is pure, copies.
+    copies = []
+    original = ledger.FactStore.copy
+
+    def counted(store):
+        copies.append(store)
+        return original(store)
+
+    monkeypatch.setattr(ledger.FactStore, "copy", counted)
+    report = ledger.check_script(parse_script(chain_script(5000, True)))
+    assert report.passed and report.fact_count == 15002
+    assert copies == []
 
 
 def test_a_failing_axiom_adds_none_of_its_facts(tmp_path, capsys):

@@ -126,6 +126,65 @@ def test_wedge_dimension_bookkeeping():
             assert wedge(t, k).dimension == comb(t.dimension, k)
 
 
+# The calculus on JordanType objects that the count-triple one replaced,
+# kept verbatim as the reference it must match.
+_REFERENCE_PRODUCT = {
+    (1, 1): (1, 0, 0),
+    (1, 2): (0, 1, 0),
+    (1, 3): (0, 0, 1),
+    (2, 2): (1, 0, 1),
+    (2, 3): (0, 0, 2),
+    (3, 3): (0, 0, 3),
+}
+_REFERENCE_WEDGE_BLOCK = {
+    1: ((1, 0, 0), (1, 0, 0)),
+    2: ((1, 0, 0), (0, 1, 0), (1, 0, 0)),
+    3: ((1, 0, 0), (0, 0, 1), (0, 0, 1), (1, 0, 0)),
+}
+
+
+def reference_tensor(a, b):
+    out = [0, 0, 0]
+    for q, cq in ((1, a.l1), (2, a.l2), (3, a.l3)):
+        if not cq:
+            continue
+        for r, cr in ((1, b.l1), (2, b.l2), (3, b.l3)):
+            if not cr:
+                continue
+            vec = _REFERENCE_PRODUCT[(q, r) if q <= r else (r, q)]
+            mult = cq * cr
+            out[0] += mult * vec[0]
+            out[1] += mult * vec[1]
+            out[2] += mult * vec[2]
+    return JordanType(*out)
+
+
+def reference_wedge(a, k):
+    table = [JordanType(1, 0, 0)]
+    for size, count in ((1, a.l1), (2, a.l2), (3, a.l3)):
+        for _ in range(count):
+            upper = min(k, len(table) - 1 + size)
+            new = [JordanType(0, 0, 0)] * (upper + 1)
+            for i, part in enumerate(table):
+                if part.counts() == (0, 0, 0):
+                    continue
+                for j in range(min(size, k - i) + 1):
+                    piece = reference_tensor(part, JordanType(*_REFERENCE_WEDGE_BLOCK[size][j]))
+                    new[i + j] = direct_sum(new[i + j], piece)
+            table = new
+    return table[k] if k < len(table) else JordanType(0, 0, 0)
+
+
+def test_count_triple_calculus_equals_the_object_calculus():
+    for t in types_up_to_dim(12):
+        for k in range(t.dimension + 1):
+            assert wedge(t, k) == reference_wedge(t, k)
+    small = types_up_to_dim(9)
+    for a in small:
+        for b in small:
+            assert tensor(a, b) == reference_tensor(a, b)
+
+
 def test_oracle_agreement_spot_checks():
     rng = random.Random(29)
     pool = [t for t in types_up_to_dim(5) if t.dimension]

@@ -20,6 +20,8 @@ from kummercert.ledger import (
     SpaceDecl,
     Step,
     UnknownRuleError,
+    _commit,
+    _step_outputs,
     apply_rule,
     check_script,
     leaf_facts_from_computation,
@@ -253,6 +255,29 @@ def test_apply_rule_is_pure_and_idempotent():
     assert Fact(ref("Y", 3), Claim.only_primes((3,))) not in store
     out2 = apply_rule(out1, the_step)
     assert out1.facts_since(0) == out2.facts_since(0)
+
+
+def test_a_step_failing_mid_closure_leaves_the_store_as_it_was():
+    # H^1 carries X's torsion-freeness to Y and adds closure facts; H^2 then
+    # contradicts Y's established Z/3 after its relation is already indexed.
+    store = store_with(
+        Fact(ref("X", 1), Claim.torsion_free()),
+        Fact(ref("X", 2), Claim.torsion_free()),
+        Fact(ref("Y", 2), Claim.iso_to(FinAbGroup(0, (3,)))),
+    )
+    before = store.copy()
+    the_step = step(
+        "complement_iso",
+        {"manifold": "X", "complement": "Y", "dim": 8, "removed_points": 1, "degrees": [1, 2]},
+    )
+    with pytest.raises(InconsistentFactError):
+        _commit(store, _step_outputs(store, the_step), ("step", the_step.id))
+    assert list(store._facts.items()) == list(before._facts.items())
+    assert store._by_subject == before._by_subject
+    assert store._relations == before._relations
+    with pytest.raises(InconsistentFactError):
+        apply_rule(store, the_step)
+    assert list(store._facts.items()) == list(before._facts.items())
 
 
 def test_facts_since_lists_the_newest_facts_in_insertion_order():

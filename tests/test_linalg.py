@@ -381,6 +381,18 @@ def test_fp_product_and_rank_match_dense_lists(p, n, k, m, data):
     assert (fa - fa).is_zero() and fa.is_zero() == (not any(map(any, a)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 251)), st.integers(0, 8), st.integers(0, 8), st.data())
+def test_rank_mod_equals_the_rank_of_the_reduced_matrix(p, n, k, data):
+    entry = st.one_of(st.just(0), st.integers(-2**70, 2**70), st.sampled_from((p, -p, 2 * p)))
+    rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    m = IntMatrix(rows, k)
+    rank = m.rank_mod(p)
+    assert rank == m.reduce_mod(p).rank() == dense_rank(rows, p)
+    order = data.draw(st.permutations(range(n)))
+    assert IntMatrix([rows[i] for i in order], k).rank_mod(p) == rank
+
+
 @pytest.mark.parametrize("p", [1, 4, 9, 256, 257, 65537])
 def test_fp_modulus_must_be_a_prime_below_256(p):
     with pytest.raises(ValueError):
@@ -391,6 +403,8 @@ def test_fp_modulus_must_be_a_prime_below_256(p):
         FpMatrix.zeros(p, 1, 1)
     with pytest.raises(ValueError):
         IntMatrix([[1]]).reduce_mod(p)
+    with pytest.raises(ValueError):
+        IntMatrix([[1]]).rank_mod(p)
 
 
 def test_fp_entries_are_reduced():
