@@ -275,10 +275,7 @@ def main(argv=None) -> int:
     )
     try:
         code, payload, text = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ScriptFormatError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, ScriptFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

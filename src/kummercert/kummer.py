@@ -43,7 +43,6 @@ __all__ = [
     "build_context",
     "build_model",
     "build_sigma_h1",
-    "ell_table",
     "ell_table_routes",
     "fixed_rank_table",
     "vanishing_certificate",
@@ -180,11 +179,6 @@ def ell_table_routes(
 ) -> tuple[dict[int, JordanType], dict[int, JordanType]]:
     """Block counts for k = 1..4 by the matrix route and by the closed form."""
     return build_model(action).routes
-
-
-def ell_table(action: LatticeAction | None = None) -> dict[int, JordanType]:
-    """The certified block-count table; both routes must agree."""
-    return build_model(action).ell
 
 
 def vanishing_certificate(action: LatticeAction | None = None) -> tuple[VanishingEntry, ...]:

@@ -768,10 +768,12 @@ def _rule_spectral_vanishing(step: Step) -> tuple[list[Fact], list[Fact]]:
     if k > len(step.inputs):  # so that it builds at most one fact more than declared
         raise ParameterMismatchError(f"step {step.id}: inputs must be {k + 1} facts")
     consumed = [
-        Fact(GroupRef(f"{group},H^{k - p}({coefficient})", p), Claim.is_zero())
+        Fact(GroupRef(coefficient_space(k - p, group, coefficient), p), Claim.is_zero())
         for p in range(1, k + 1)
     ]
-    consumed.append(Fact(GroupRef(f"{group},H^{k}({coefficient})", 0), Claim.torsion_free()))
+    consumed.append(
+        Fact(GroupRef(coefficient_space(k, group, coefficient), 0), Claim.torsion_free())
+    )
     return consumed, [Fact(GroupRef(quotient, k), Claim.torsion_free())]
 
 

@@ -10,9 +10,10 @@ here is safe to share between threads.
 
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
 favour simplicity and verifiability over asymptotics: sparse Gaussian
-elimination for ranks over F_p, minimal-pivot reduction for Smith normal
-form, Bareiss for determinants, and column-wedge expansion over the
-non-zero entries for compound (exterior-power) matrices.
+elimination for ranks over F_p, one loop of division with remainder by a
+least pivot for Smith normal form, Bareiss for determinants, and
+column-wedge expansion over the non-zero entries for compound
+(exterior-power) matrices.
 """
 
 from __future__ import annotations
@@ -62,17 +63,6 @@ class ExactSolveError(InvariantError):
     Raised only when an internal exactness invariant is violated; never a
     user error.
     """
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -351,7 +341,7 @@ class FpMatrix:
 def _check_modulus(p: int) -> None:
     if p >= 256:
         raise ValueError(f"modulus {p} does not fit a byte; F_p matrices need p < 256")
-    if not _is_prime(p):
+    if prime_factors(p) != {p: 1}:
         raise ValueError(f"modulus {p} is not prime")
 
 
@@ -599,47 +589,6 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _row_combine(a, i, j, q):
-    # row_i -= q * row_j
-    a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-
-def _col_combine(a, i, j, q):
-    # col_i -= q * col_j
-    for row in a:
-        row[i] -= q * row[j]
-
-
-def _two_rows(a, r1, r2, c11, c12, c21, c22):
-    # (row_r1, row_r2) <- (c11*row_r1 + c12*row_r2, c21*row_r1 + c22*row_r2)
-    row1, row2 = a[r1], a[r2]
-    a[r1] = [c11 * e1 + c12 * e2 for e1, e2 in zip(row1, row2)]
-    a[r2] = [c21 * e1 + c22 * e2 for e1, e2 in zip(row1, row2)]
-
-
-def _two_cols(a, c1, c2, c11, c12, c21, c22):
-    # (col_c1, col_c2) <- (c11*col_c1 + c12*col_c2, c21*col_c1 + c22*col_c2)
-    for row in a:
-        e1, e2 = row[c1], row[c2]
-        row[c1] = c11 * e1 + c12 * e2
-        row[c2] = c21 * e1 + c22 * e2
-
-
 def _diagonalize(a: list[list[int]], nrows: int, ncols: int) -> int:
     """Bring the leading nrows x ncols block of ``a`` to Smith form in place.
 
@@ -649,15 +598,22 @@ def _diagonalize(a: list[list[int]], nrows: int, ncols: int) -> int:
     along as companions: ``smith_normal_form`` puts the identity beside and
     below the matrix there to record u and v, ``cokernel`` puts nothing.
 
-    Each off-pivot entry is removed by a single determinant-one transform
-    built from an extended gcd (rather than by repeated Euclidean
-    subtraction of whole rows), which keeps coefficient growth tame; the
-    divisibility chain is then restored by pairwise gcd/lcm fix-ups on the
-    diagonal.
+    One loop does the elimination (Newman's division algorithm).  Each
+    pass moves the entry of least non-zero absolute value in the block
+    from (t, t) on, t the rank so far, to (t, t), makes it positive and
+    divides every other entry of row t and column t by it with remainder.
+    A non-zero remainder is smaller than the pivot and starts another
+    pass.  Once row and column t are clear, a row holding an entry the
+    pivot does not divide is added into row t; the next pass meets the
+    pivot first at (t, t) and leaves that entry's non-zero remainder.  So
+    the pivot never grows and shrinks at least every second pass, which
+    ends the passes at t with a pivot dividing every entry left, the gcd
+    of the block.  Every later pivot is a multiple of it, so the diagonal
+    is a divisibility chain with no second pass.
     """
     rank = 0
-    for t in range(min(nrows, ncols)):
-        # Move the entry of minimal non-zero absolute value to the pivot.
+    while rank < min(nrows, ncols):
+        t = rank
         pr = pc = -1
         best = 0
         for i in range(t, nrows):
@@ -675,51 +631,26 @@ def _diagonalize(a: list[list[int]], nrows: int, ncols: int) -> int:
                 row[t], row[pc] = row[pc], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-
-        while True:
-            pivot = a[t][t]
-            for i in range(t + 1, nrows):
-                e = a[i][t]
-                if not e:
-                    continue
-                if e % pivot == 0:
-                    _row_combine(a, i, t, e // pivot)
-                else:
-                    g, x, y = _xgcd(pivot, e)
-                    _two_rows(a, t, i, x, y, -(e // g), pivot // g)
-                    pivot = g
-            for j in range(t + 1, ncols):
-                e = a[t][j]
-                if not e:
-                    continue
-                if e % pivot == 0:
-                    _col_combine(a, j, t, e // pivot)
-                else:
-                    # The gcd transform rewrites column t, so the cleared
-                    # column can get dirty again; the pivot strictly
-                    # shrinks each time, so the outer loop terminates.
-                    g, x, y = _xgcd(pivot, e)
-                    _two_cols(a, t, j, x, y, -(e // g), pivot // g)
-                    pivot = g
-            if not any(a[i][t] for i in range(t + 1, nrows)) and not any(
-                a[t][j] for j in range(t + 1, ncols)
-            ):
-                break
-        rank = t + 1
-
-    # Restore the divisibility chain with gcd/lcm fix-ups: after pass i,
-    # the i-th diagonal entry divides every later one.
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            di, dj = a[i][i], a[j][j]
-            if dj % di == 0:
-                continue
-            # Pull d_j into row i, then one gcd transform on columns
-            # (i, j) leaves diag entries gcd and lcm.
-            _row_combine(a, i, j, -1)
-            g, x, y = _xgcd(a[i][i], a[i][j])
-            _two_cols(a, i, j, x, y, -(a[i][j] // g), a[i][i] // g)
-            _row_combine(a, j, i, a[j][i] // a[i][i])
+        pivot_row = a[t]
+        pivot = pivot_row[t]
+        clear = True
+        for i in range(t + 1, nrows):
+            if q := a[i][t] // pivot:
+                a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
+            clear = clear and not a[i][t]
+        for j in range(t + 1, ncols):
+            if q := pivot_row[j] // pivot:
+                for row in a:
+                    row[j] -= q * row[t]
+            clear = clear and not pivot_row[j]
+        if clear and pivot > 1:
+            for row in a[t + 1 : nrows]:
+                if any(row[j] % pivot for j in range(t + 1, ncols)):
+                    a[t] = [x + y for x, y in zip(pivot_row, row)]
+                    clear = False
+                    break
+        if clear:
+            rank += 1
 
     for t in range(rank):
         if a[t][t] <= 0:

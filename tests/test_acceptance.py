@@ -24,8 +24,8 @@ from kummercert.jordan import (
 )
 from kummercert.kummer import (
     VANISHING_PAIRS,
+    build_model,
     build_sigma_h1,
-    ell_table,
     ell_table_routes,
     vanishing_certificate,
 )
@@ -166,7 +166,7 @@ def test_criterion_8_mutation_robustness(ctx, script):
     # Swapping the generator for its square must leave criteria 1-3 intact.
     if ok:
         swapped = ctx.sigma_h1.squared()
-        table = ell_table(swapped)
+        table = build_model(swapped).ell
         vanishing = vanishing_certificate(swapped)
         ok = table == EXPECTED_TABLE and all(e.group.is_zero for e in vanishing)
         if ok:

@@ -9,9 +9,9 @@ from kummercert.kummer import (
     CertificateFailure,
     KummerModel,
     VANISHING_PAIRS,
+    build_model,
     build_sigma_h1,
     coefficient_action,
-    ell_table,
     ell_table_routes,
     fixed_rank_table,
     vanishing_certificate,
@@ -76,7 +76,7 @@ def test_fixed_ranks(ctx):
 
 def test_convention_swap_leaves_invariants_unchanged(ctx):
     swapped = ctx.sigma_h1.squared()
-    assert ell_table(swapped) == ctx.ell
+    assert build_model(swapped).ell == ctx.ell
     assert all(e.group.is_zero for e in vanishing_certificate(swapped))
     assert fixed_rank_table(swapped) == ctx.fixed_ranks
 

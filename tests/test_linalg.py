@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -481,6 +482,36 @@ def test_cokernel_equals_the_group_read_off_the_smith_normal_form(rows, cols, da
     m = blank_out(m, data.draw(st.sets(st.integers(0, max(cols - 1, 0)))), True)
     m = IntMatrix(m, cols)
     assert cokernel(m) == group_from_snf(m)
+
+
+def determinantal_divisors(m):
+    """Delta_k, the gcd of the k x k minors of a square m, for k = 0..n.
+
+    Delta_k / Delta_(k-1) is the k-th invariant factor (0 past the rank),
+    so this reference for the elimination shares no code with it.
+    """
+    return [
+        math.gcd(*[x for row in exterior_power(m, k).data for x in row])
+        for k in range(m.rows + 1)
+    ]
+
+
+def test_invariant_factors_are_quotients_of_determinantal_divisors():
+    rng = random.Random(14)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        bound = 2 ** rng.choice((1, 3, 10, 40))
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = IntMatrix(
+            [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        )
+        delta = determinantal_divisors(m)
+        factors = [delta[k] // delta[k - 1] if delta[k] else 0 for k in range(1, n + 1)]
+        _, d, _ = smith_normal_form(m)
+        assert [d.data[i][i] for i in range(n)] == factors
+        nonzero = [x for x in factors if x]
+        assert cokernel(m) == FinAbGroup(n - len(nonzero), tuple([x for x in nonzero if x > 1]))
 
 
 def test_kernel_of_identity_is_empty():
