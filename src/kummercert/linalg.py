@@ -2,9 +2,11 @@
 
 Matrices over Z hold Python integers and are immune to overflow.  Matrices
 over F_p (p < 256) keep each row as ``bytes`` with entries in [0, p).  Both
-multiply with one product over the non-zero entries: each non-zero a[i][k]
-meets only the non-zero entries of row k of b, so the block-sparse
-matrices this package builds cost in proportion to their non-zeros.  All
+multiply with one product over sparse rows, which the lattice actions of
+``cohomology`` call directly: each non-zero a[i][k] meets only the
+non-zero entries of row k of b, so the block-sparse matrices this package
+builds cost in proportion to their non-zeros.  Ranks over F_p of either
+kind of matrix, and of sparse integer rows, run one elimination.  All
 values are immutable and every operation is a pure function, so everything
 here is safe to share between threads.
 
@@ -18,7 +20,6 @@ column-wedge expansion over the non-zero entries for compound
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -295,15 +296,14 @@ class FpMatrix:
             raise ValueError("mismatched moduli")
         if self.cols != other.rows:
             raise ValueError("mismatched shapes")
-        p = self.p
-        residues = _residue_table(p)
+        p, width = self.p, other.cols
         out = []
-        for acc in _product_rows(self.data, other.data, other.cols):
-            try:
-                out.append(bytes(acc).translate(residues))
-            except ValueError:  # a sum of 256 or more
-                out.append(bytes(map(p.__rmod__, acc)))
-        return FpMatrix._trusted(p, tuple(out), other.cols)
+        for acc in _product_rows(map(_nonzero, self.data), [list(_nonzero(r)) for r in other.data]):
+            row = bytearray(width)
+            for j, x in acc.items():
+                row[j] = x % p
+            out.append(bytes(row))
+        return FpMatrix._trusted(p, tuple(out), width)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
@@ -325,7 +325,7 @@ class FpMatrix:
 
     def rank(self) -> int:
         """Row rank by exact Gaussian elimination over F_p."""
-        return _rank_mod(self.data, self.p)
+        return _rank_mod(map(_nonzero, self.data), self.p)
 
     def lift(self) -> "IntMatrix":
         """The entries read as integers in [0, p)."""
@@ -345,12 +345,6 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-@functools.cache
-def _residue_table(p: int) -> bytes:
-    """The byte v mapped to v % p, to reduce a row of small sums with translate."""
-    return bytes(v % p for v in range(256))
-
-
 def _nonzero(row):
     """(index, value) for the non-zero entries of a row, in order."""
     return zip(itertools.compress(itertools.count(), row), filter(None, row))
@@ -359,13 +353,14 @@ def _nonzero(row):
 def _rank_mod(rows, p: int) -> int:
     """Rank over F_p of integer rows, by exact Gaussian elimination.
 
-    Every row is a dict of its entries that are non-zero mod p, so the work
-    follows the non-zeros and their fill-in rather than the full width.
-    Zero rows are dropped and the rest reduced sparsest first, one at a time
-    against the pivot rows found so far: the rank does not depend on the
-    order, and sparse pivots cause less fill-in.
+    Each row comes as (column, value) pairs, of its non-zero entries or of
+    any superset, and is kept as a dict of its entries that are non-zero
+    mod p, so the work follows the non-zeros and their fill-in rather than
+    the full width.  Zero rows are dropped and the rest reduced sparsest
+    first, one at a time against the pivot rows found so far: the rank does
+    not depend on the order, and sparse pivots cause less fill-in.
     """
-    reduced = [{j: y for j, x in _nonzero(row) if (y := x % p)} for row in rows]
+    reduced = [{j: y for j, x in row if (y := x % p)} for row in rows]
     reduced = sorted(filter(None, reduced), key=len)
     # Pivot column -> pivot row, scaled to 1 there and zero before it.
     pivots: dict[int, dict[int, int]] = {}
@@ -387,21 +382,25 @@ def _rank_mod(rows, p: int) -> int:
     return len(pivots)
 
 
-def _product_rows(a_rows, b_rows, width: int):
-    """The rows of the exact product a @ b, as lists of Python ints.
+def _product_rows(a_rows, b_rows) -> list[dict[int, int]]:
+    """The rows of the exact product a @ b, each a dict of its non-zeros.
 
-    Each non-zero a[i][k] is multiplied into the non-zero entries of row k
-    of b, so the work is the number of non-zero products rather than
-    rows * inner * width.  Serves IntMatrix and (before reduction mod p)
-    FpMatrix alike.
+    Every row of a and of b comes as the (column, value) pairs of its
+    non-zero entries; a row of b is read once for every entry of a that
+    meets it, so b's rows must be lists or dict views.  Each non-zero
+    a[i][k] is multiplied into the non-zero entries of row k of b, so the
+    work is the number of non-zero products rather than rows * inner *
+    width.  Serves IntMatrix, FpMatrix (before reduction mod p) and the
+    lattice actions alike.
     """
-    b_nonzero = [list(_nonzero(row)) for row in b_rows]
+    out = []
     for row in a_rows:
-        acc = [0] * width
-        for k, x in _nonzero(row):
-            for j, y in b_nonzero[k]:
-                acc[j] += x * y
-        yield acc
+        acc: dict[int, int] = {}
+        for k, x in row:
+            for j, y in b_rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out
 
 
 def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -448,6 +447,17 @@ class IntMatrix:
         m.data = data
         m.cols = cols
         return m
+
+    @classmethod
+    def _from_rows(cls, rows, cols: int) -> "IntMatrix":
+        """The dense matrix of sparse rows, each a dict {column: value}."""
+        data = []
+        for entries in rows:
+            row = [0] * cols
+            for j, x in entries.items():
+                row[j] = x
+            data.append(tuple(row))
+        return cls._trusted(tuple(data), cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -501,13 +511,6 @@ class IntMatrix:
             self.cols,
         )
 
-    def plus_identity(self, c: int) -> "IntMatrix":
-        """self + c * identity, touching only the diagonal of a square matrix."""
-        rows = [list(row) for row in self.data]
-        for i, row in enumerate(rows):
-            row[i] += c
-        return IntMatrix._trusted(tuple([tuple(row) for row in rows]), self.cols)
-
     def _same_shape(self, other: "IntMatrix") -> None:
         if not isinstance(other, IntMatrix) or self.shape != other.shape:
             raise ValueError("mismatched shapes")
@@ -515,8 +518,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("mismatched shapes")
-        rows = _product_rows(self.data, other.data, other.cols)
-        return IntMatrix._trusted(tuple([tuple(acc) for acc in rows]), other.cols)
+        rows = _product_rows(map(_nonzero, self.data), [list(_nonzero(r)) for r in other.data])
+        return IntMatrix._from_rows(rows, other.cols)
 
     def mat_pow(self, e: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -538,17 +541,6 @@ class IntMatrix:
         idx = list(indices)
         data = [tuple([row[j] for j in idx]) for row in self.data]
         return IntMatrix._trusted(tuple(data), len(idx))
-
-    def principal_submatrix(self, indices) -> "IntMatrix":
-        """The rows and columns at the given indices, in the given order."""
-        idx = list(indices)
-        data = self.data
-        return IntMatrix._trusted(tuple([tuple([data[i][j] for j in idx]) for i in idx]), len(idx))
-
-    def rank_mod(self, p: int) -> int:
-        """Rank over F_p, read off the integer rows without a reduced copy."""
-        _check_modulus(p)
-        return _rank_mod(self.data, p)
 
     def reduce_mod(self, p: int) -> FpMatrix:
         _check_modulus(p)

@@ -40,13 +40,91 @@ def test_action_validation():
         LatticeAction(IntMatrix([[1, 0]]))
 
 
-@pytest.mark.parametrize("bad", [[[2]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]])
+# Each cubes to a matrix with the identity's diagonal: only the entries off
+# it show that s^3 = 1 fails.
+OFF_THE_DIAGONAL = [[[1, 1], [0, 1]], [[1, 0], [5, 1]], [[1, 0, 0], [0, 1, 0], [-2, 0, 1]]]
+
+
+@pytest.mark.parametrize(
+    "bad", [[[2]], OFF_THE_DIAGONAL[0], [[0, 1], [1, 0]], [[-1]], *OFF_THE_DIAGONAL[1:]]
+)
 def test_action_validation_sees_every_block(bad):
     # Splitting happens only where the cohomology is computed, so a single
     # block that does not cube to the identity still sinks the action.
+    if bad in OFF_THE_DIAGONAL:
+        cube = IntMatrix(bad).mat_pow(3)
+        assert [cube.data[i][i] for i in range(cube.rows)] == [1] * cube.rows
     blocks = [ROTATION.matrix, IntMatrix(bad), REGULAR.matrix]
-    with pytest.raises(ValueError):
-        LatticeAction(IntMatrix.block_diag(blocks))
+    for m in (IntMatrix(bad), IntMatrix.block_diag(blocks)):
+        with pytest.raises(ValueError, match="^the generator must cube to the identity$"):
+            LatticeAction(m)
+
+
+class NoDraws:
+    """A random source that fails any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} from the random source")
+
+
+def test_a_block_sum_of_rank_below_one_is_refused_before_any_draw():
+    for max_rank in (0, -1):
+        with pytest.raises(ValueError, match="max_rank must be at least 1"):
+            random_conjugated_block_action(NoDraws(), max_rank=max_rank)
+        with pytest.raises(ValueError, match="max_rank must be at least 1"):
+            cross_validate(NoDraws(), 1, max_rank=max_rank)
+    assert cross_validate(NoDraws(), 0, max_rank=0)
+    action, counts = random_conjugated_block_action(random.Random(67), max_rank=1)
+    assert action == TRIVIAL and counts == JordanType(1, 0, 0)
+
+
+def test_the_random_unimodular_matrix_of_rank_zero_is_empty():
+    for ops in (None, 0, 5):
+        p, pinv = random_unimodular(NoDraws(), 0, ops)
+        assert p == pinv == IntMatrix.zeros(0, 0)
+        assert LatticeAction(p @ pinv).rank == 0
+
+
+def dense_reference(m):
+    """(s^2, N = 1 + s + s^2, s - 1) of a square list matrix, by plain list loops."""
+    square = []
+    for row in m:
+        total = [0] * len(m)
+        for x, other in zip(row, m):
+            if x:
+                total = [y + x * z for y, z in zip(total, other)]
+        square.append(total)
+    norm = [[x + y for x, y in zip(row, row_sq)] for row, row_sq in zip(m, square)]
+    shifted = [list(row) for row in m]
+    for i in range(len(m)):
+        norm[i][i] += 1
+        shifted[i][i] -= 1
+    return square, norm, shifted
+
+
+def assert_sparse_rows_equal_the_dense_reference(action):
+    """Check s^2, N and s - 1 of ``action``; return the action of s^2."""
+    m = action.matrix.to_lists()
+    square, norm, shifted = dense_reference(m)
+    other = action.squared()
+    assert other.matrix == IntMatrix(square, len(m))
+    assert action.norm() == IntMatrix(norm, len(m))
+    assert action.shifted() == IntMatrix(shifted, len(m))
+    return other
+
+
+def test_sparse_rows_equal_the_dense_reference():
+    assert_sparse_rows_equal_the_dense_reference(LatticeAction(IntMatrix.zeros(0, 0)))
+    assert_sparse_rows_equal_the_dense_reference(TRIVIAL)
+    for action in build_model().powers.values():
+        assert_sparse_rows_equal_the_dense_reference(action)
+    rng = random.Random(61)
+    for _ in range(2000):
+        action, counts = random_conjugated_block_action(rng, max_rank=12)
+        other = assert_sparse_rows_equal_the_dense_reference(action)
+        assert_sparse_rows_equal_the_dense_reference(other)
+        if counts.dimension >= 2:
+            assert_sparse_rows_equal_the_dense_reference(coefficient_action(action, 2))
 
 
 def test_trivial_lattice():
@@ -297,7 +375,7 @@ def test_random_lattices_match_the_quotient_reference():
             # A longer scramble: larger coefficients, rarely any direct summand.
             p, pinv = random_unimodular(rng, action.rank, ops=4 * action.rank)
             action = LatticeAction(p @ action.matrix @ pinv)
-        unsplit += len(_components(action.matrix)) == 1
+        unsplit += len(_components(action._rows)) == 1
         expected = quotient_reference(action)
         assert two_cokernel_route(action) == expected
         assert expected == (
