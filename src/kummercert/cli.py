@@ -15,7 +15,7 @@ import sys
 from .cohomology import cohomology_closed_form, cohomology_snf, cross_validate, jordan_type_mod3
 from .jordan import JordanType
 from .kummer import CertificateFailure, build_model
-from .ledger import ScriptFormatError, check_script, leaf_facts_from_computation, parse_script
+from .ledger import ScriptFormatError, check_script, leaf_facts_from_computation, read_script
 from .linalg import InvariantError, Value
 from .proofscript import load_shipped_script
 
@@ -139,16 +139,8 @@ def _cmd_verify_proposition(config: RunConfig):
 
 
 def _cmd_check_ledger(config: RunConfig):
-    try:
-        with open(config.script_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (UnicodeDecodeError, RecursionError) as exc:
-        # Not UTF-8 text, or nested deeper than the decoder can follow.
-        raise ScriptFormatError(
-            f"{config.script_path} is not a readable JSON document: {type(exc).__name__}"
-        ) from None
-    script = parse_script(document)
-    report = check_script(script)
+    with open(config.script_path, "rb") as handle:  # read_script decodes it as UTF-8
+        report = check_script(read_script(handle.read()))
     return report.passed, {"ledger": report.to_json_dict()}, report.to_text()
 
 
@@ -275,7 +267,7 @@ def main(argv=None) -> int:
     )
     try:
         code, payload, text = run(config)
-    except (ConfigError, OSError, json.JSONDecodeError, ScriptFormatError) as exc:
+    except (ConfigError, OSError, ScriptFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -26,15 +26,20 @@ order.  Two ``only_primes`` bounds on the same group do *not* merge
 automatically; intersecting them is the explicit ``combine_primes`` rule.
 
 Script files are JSON with sections ``spaces``, ``axioms``, ``steps`` and
-``goals``; a missing key or a value of the wrong type (a degree that is
-not a JSON integer, say) is a ``ScriptFormatError``.  Reports have JSON
-and plain-text forms and are deterministic: checking the same script
-twice yields byte-identical output.
+``goals``; ``read_script`` reads their text.  A ``ScriptFormatError`` is
+any text that is not a script: not UTF-8 JSON, an integer literal too long
+for the interpreter to convert, ``NaN`` or ``Infinity``, a duplicate key, a
+key its section does not define, or a missing key or a value of the wrong
+type (a degree that is not a JSON integer, say).  Reports have JSON and
+plain-text forms and are deterministic: checking the same script twice
+yields byte-identical output.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import reprlib
 
 from .kummer import CertificateFailure, KummerContext
 from .linalg import FinAbGroup, Value, _set, prime_factors
@@ -52,13 +57,13 @@ __all__ = [
     "Report",
     "Script",
     "ScriptFormatError",
-    "SpaceDecl",
     "Step",
     "UnknownRuleError",
     "apply_rule",
     "check_script",
     "leaf_facts_from_computation",
     "parse_script",
+    "read_script",
     "script_to_json_dict",
     "without_axiom",
     "without_step",
@@ -100,19 +105,6 @@ class ScriptFormatError(LedgerError):
 # facts
 
 
-def _json_int(value, what: str) -> int:
-    # int("3"), int(2.5) and True would all pass a plain int() coercion.
-    if type(value) is not int:
-        raise ScriptFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ScriptFormatError(f"{what} must be a string, got {value!r}")
-    return value
-
-
 class GroupRef(Value):
     """A named cohomology group: H^degree of a declared space."""
 
@@ -138,19 +130,16 @@ class GroupRef(Value):
     def to_json_dict(self) -> dict:
         return {"space": self.space, "degree": self.degree}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GroupRef":
-        return cls(_json_str(d["space"], "space"), _json_int(d["degree"], "degree"))
 
-
-_CLAIM_KINDS = (
-    "is_zero",
-    "torsion_free",
-    "only_primes",
-    "iso_to",
-    "torsion_equals",
-    "torsion_injects_into",
-)
+# Each claim kind with the keys its JSON form carries.
+_CLAIM_KEYS = {
+    "is_zero": ("kind",),
+    "torsion_free": ("kind",),
+    "only_primes": ("kind", "primes"),
+    "iso_to": ("kind", "rank", "torsion"),
+    "torsion_equals": ("kind", "other"),
+    "torsion_injects_into": ("kind", "other"),
+}
 _TORSION_LEVEL = ("torsion_free", "only_primes")
 
 
@@ -225,23 +214,6 @@ class Claim(Value):
             out["other"] = self.other.to_json_dict()
         return out
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Claim":
-        kind = d["kind"]
-        if kind not in _CLAIM_KINDS:
-            raise ScriptFormatError(f"unknown claim kind {kind!r}")
-        if kind == "only_primes":
-            return cls.only_primes(_json_int(p, "prime") for p in d["primes"])
-        if kind == "iso_to":
-            rank = _json_int(d["rank"], "rank")
-            torsion = tuple(_json_int(x, "invariant factor") for x in d["torsion"])
-            if any(x >= FACTOR_BOUND for x in torsion):
-                raise ScriptFormatError(f"invariant factors must be below {FACTOR_BOUND}")
-            return cls.iso_to(FinAbGroup(rank, torsion))
-        if kind in ("torsion_equals", "torsion_injects_into"):
-            return cls(kind, other=GroupRef.from_json_dict(d["other"]))
-        return cls(kind)
-
 
 class Fact(Value):
     __slots__ = _fields = ("subject", "claim")
@@ -266,10 +238,6 @@ class Fact(Value):
 
     def to_json_dict(self) -> dict:
         return {"subject": self.subject.to_json_dict(), "claim": self.claim.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Fact":
-        return cls(GroupRef.from_json_dict(d["subject"]), Claim.from_json_dict(d["claim"]))
 
 
 def _exact_group(claim: Claim) -> FinAbGroup | None:
@@ -298,18 +266,17 @@ def _torsion_bound(claim: Claim) -> frozenset[int] | None:
 class FactStore:
     """Insertion-ordered fact set with closure and contradiction detection."""
 
-    def __init__(self, spaces: frozenset[str]):
-        self._spaces = spaces
+    def __init__(self, spaces: dict[str, tuple[str, str] | None]):
+        self.spaces = spaces  # the declared spaces: each name, with its members if a pair
         self._facts: dict[Fact, tuple] = {}
-        # Tuples, not lists: a copy shares them instead of copying each one.
-        self._by_subject: dict[GroupRef, tuple[Fact, ...]] = {}
-        self._relations: dict[GroupRef, tuple[Fact, ...]] = {}
+        # The facts about each group, with the relations naming it as ``other``,
+        # in insertion order.  Tuples, not lists: a copy shares them.
+        self._about: dict[GroupRef, tuple[Fact, ...]] = {}
 
     def copy(self) -> "FactStore":
-        new = FactStore(self._spaces)
+        new = FactStore(self.spaces)
         new._facts = dict(self._facts)
-        new._by_subject = dict(self._by_subject)
-        new._relations = dict(self._relations)
+        new._about = dict(self._about)
         return new
 
     def __contains__(self, fact: Fact) -> bool:
@@ -326,20 +293,18 @@ class FactStore:
         """Remove the facts added after the first ``n``, newest first, and their index entries."""
         while len(self._facts) > n:
             fact, _ = self._facts.popitem()
-            refs = [(self._by_subject, fact.subject)]
-            if fact.claim.kind in ("torsion_equals", "torsion_injects_into"):
-                refs += [(self._relations, fact.subject), (self._relations, fact.claim.other)]
-            for index, ref in refs:
-                # The newest fact is last in every index entry it extended.
-                index[ref] = index[ref][:-1]
-                if not index[ref]:
-                    del index[ref]
+            # The newest fact is last in every index entry it extended.
+            for ref in (fact.subject, fact.claim.other):
+                if ref is not None:
+                    self._about[ref] = self._about[ref][:-1]
+                    if not self._about[ref]:
+                        del self._about[ref]
 
     def provenance(self, fact: Fact) -> tuple:
         return self._facts[fact]
 
     def _validate_ref(self, ref: GroupRef) -> None:
-        if ref.space not in self._spaces:
+        if ref.space not in self.spaces:
             raise ParameterMismatchError(f"space {ref.space!r} is not declared")
         if ref.degree < 0:
             raise ParameterMismatchError(f"negative degree in {ref.render()}")
@@ -349,7 +314,7 @@ class FactStore:
         new_bound = (
             _torsion_bound(fact.claim) if fact.claim.kind in _TORSION_LEVEL else None
         )
-        for old in self._by_subject.get(fact.subject, ()):
+        for old in self._about.get(fact.subject, ()):
             old_exact = _exact_group(old.claim)
             if new_exact is not None and old_exact is not None and new_exact != old_exact:
                 raise InconsistentFactError(
@@ -380,10 +345,9 @@ class FactStore:
                 self._validate_ref(fact.claim.other)
             self._check_consistent(fact)
             self._facts[fact] = source
-            self._by_subject[fact.subject] = self._by_subject.get(fact.subject, ()) + (fact,)
-            if fact.claim.kind in ("torsion_equals", "torsion_injects_into"):
-                for ref in (fact.subject, fact.claim.other):
-                    self._relations[ref] = self._relations.get(ref, ()) + (fact,)
+            for ref in (fact.subject, fact.claim.other):  # other: a relation's second group
+                if ref is not None:
+                    self._about[ref] = self._about.get(ref, ()) + (fact,)
             added.append(fact)
             # Reversed, so that the implications pop in the order listed.
             stack.extend((f, ("closure", tuple(p))) for f, p in reversed(self._implications(fact)))
@@ -405,7 +369,7 @@ class FactStore:
         if claim.kind in _TORSION_LEVEL:
             if claim.kind == "only_primes" and not claim.primes:
                 out.append((Fact(subject, Claim.torsion_free()), [fact]))
-            for rel in self._relations.get(subject, ()):
+            for rel in self._about.get(subject, ()):
                 rclaim = rel.claim
                 if rclaim.kind == "torsion_equals":
                     peer = rclaim.other if rel.subject == subject else rel.subject
@@ -414,11 +378,11 @@ class FactStore:
                     out.append((Fact(rel.subject, claim), [fact, rel]))
         elif claim.kind == "torsion_equals":
             for side, peer in ((subject, claim.other), (claim.other, subject)):
-                for old in self._by_subject.get(side, ()):
+                for old in self._about.get(side, ()):
                     if old.claim.kind in _TORSION_LEVEL:
                         out.append((Fact(peer, old.claim), [old, fact]))
         elif claim.kind == "torsion_injects_into":
-            for old in self._by_subject.get(claim.other, ()):
+            for old in self._about.get(claim.other, ()):
                 if old.claim.kind in _TORSION_LEVEL:
                     out.append((Fact(subject, old.claim), [old, fact]))
         return out
@@ -426,13 +390,6 @@ class FactStore:
 
 # --------------------------------------------------------------------------
 # script structure
-
-
-class SpaceDecl(Value):
-    __slots__ = _fields = ("name", "pair")
-
-    def __init__(self, name: str, pair: tuple[str, str] | None = None):
-        self._init(name, pair)
 
 
 class Axiom(Value):
@@ -454,117 +411,179 @@ class Step(Value):
 
 
 class Script(Value):
-    """A parsed proof script; scripts compare by identity."""
+    """A parsed proof script; ``spaces`` maps each pair to its members, a plain space to None."""
 
     __slots__ = _fields = ("format", "spaces", "axioms", "steps", "goals")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, format: str, spaces: tuple[SpaceDecl, ...], axioms: tuple[Axiom, ...],
-                 steps: tuple[Step, ...], goals: tuple[Fact, ...]):
+    def __init__(self, format: str, spaces: dict[str, tuple[str, str] | None],
+                 axioms: tuple[Axiom, ...], steps: tuple[Step, ...], goals: tuple[Fact, ...]):
         self._init(format, spaces, axioms, steps, goals)
 
-    def space_names(self) -> frozenset[str]:
-        return frozenset(s.name for s in self.spaces)
+
+# --------------------------------------------------------------------------
+# reading a script
+#
+# A reader returns a JSON value as what it stands for, or None if the value
+# has the wrong type.  They read a script's sections and a step's parameters.
 
 
-def parse_script(d: dict) -> Script:
-    """The script in a JSON document; raises ScriptFormatError if it is malformed."""
+def _typed(kind: type):
+    # Exact types: "3", 3.0 and true would pass an int() coercion.
+    return lambda value: value if type(value) is kind else None
+
+
+_name, _integer, _flag, _list, _object = map(_typed, (str, int, bool, list, dict))
+
+
+def _integers(value):
+    if type(value) is list and all(type(k) is int for k in value):
+        return value
+
+
+def _ref(value):
+    if type(value) is dict and len(value) == 2:  # and no other key
+        space, degree = value.get("space"), value.get("degree")
+        if type(space) is str and type(degree) is int:
+            return GroupRef(space, degree)
+
+
+_READERS = {_name: "a string", _integer: "an integer", _integers: "a list of integers",
+            _ref: "a group ref", _flag: "a boolean", _list: "a list", _object: "a JSON object"}
+
+
+def _get(value, reader, what: str):
+    """``value`` as ``reader`` reads it; a missing or mistyped value is a ScriptFormatError."""
+    out = reader(value)
+    if out is None:
+        # None is a missing key or a JSON null; reprlib bounds any other value.
+        got = "no value" if value is None else reprlib.repr(value)
+        raise ScriptFormatError(f"{what} must be {_READERS[reader]}, got {got}")
+    return out
+
+
+def _section(value, what: str, keys: tuple) -> dict:
+    """``value`` as a JSON object with no keys but ``keys``."""
+    d = _get(value, _object, what)
+    for key in d:
+        if key not in keys:
+            raise ScriptFormatError(f"{what}: unknown key {key!r}")
+    return d
+
+
+def _claim(value) -> Claim:
+    kind = _get(_get(value, _object, "claim").get("kind"), _name, "claim kind")
+    if kind not in _CLAIM_KEYS:
+        raise ScriptFormatError(f"unknown claim kind {kind!r}")
+    d = _section(value, f"{kind} claim", _CLAIM_KEYS[kind])
+    if kind == "only_primes":
+        return Claim.only_primes(_get(d.get("primes"), _integers, "primes"))
+    if kind == "iso_to":
+        torsion = tuple(_get(d.get("torsion"), _integers, "torsion"))
+        if any(x >= FACTOR_BOUND for x in torsion):
+            raise ScriptFormatError(f"invariant factors must be below {FACTOR_BOUND}")
+        try:
+            return Claim.iso_to(FinAbGroup(_get(d.get("rank"), _integer, "rank"), torsion))
+        except ValueError as exc:  # a negative rank, or no chain of divisors
+            raise ScriptFormatError(f"iso_to claim: {exc}") from None
+    if kind in ("is_zero", "torsion_free"):
+        return Claim(kind)
+    return Claim(kind, other=_get(d.get("other"), _ref, "other group"))
+
+
+def _fact(value, spaces: dict) -> Fact:
+    d = _section(value, "fact", ("subject", "claim"))
+    fact = Fact(_get(d.get("subject"), _ref, "subject"), _claim(d.get("claim")))
+    for ref in (fact.subject, fact.claim.other):
+        if ref is not None and ref.space not in spaces:
+            raise ScriptFormatError(f"undeclared space {ref.space!r}")
+    if fact.subject.degree < 0:
+        raise ScriptFormatError(f"negative degree in {fact.subject.render()}")
+    return fact
+
+
+def _unique_keys(pairs: list) -> dict:
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ScriptFormatError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return d
+
+
+def _no_constant(name: str):
+    raise ScriptFormatError(f"{name} is not a JSON number")
+
+
+def read_script(text: str | bytes) -> Script:
+    """The script in a JSON text, bytes read as UTF-8; raises ScriptFormatError if it is none."""
     try:
-        return _parse_script(d)
-    except KeyError as exc:
-        raise ScriptFormatError(f"malformed script: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        # A section of the wrong shape, met while reading it.
-        raise ScriptFormatError(f"malformed script: {exc}") from None
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        document = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8 or not JSON, nested deeper than the decoder follows, or
+        # an integer literal longer than the interpreter converts.
+        raise ScriptFormatError(f"not a readable JSON document: {exc}") from None
+    return parse_script(document)
 
 
-def _parse_script(d: dict) -> Script:
-    if not isinstance(d, dict):
-        raise ScriptFormatError("script must be a JSON object")
+def parse_script(document) -> Script:
+    """The script in a decoded JSON document; raises ScriptFormatError if it is malformed."""
+    d = _get(document, _object, "script")
     if d.get("format") != SCRIPT_FORMAT:
-        raise ScriptFormatError(f"unsupported script format {d.get('format')!r}")
-    spaces = []
-    plain: set[str] = set()
-    for s in d.get("spaces", ()):
-        name = _json_str(s["name"], "space name")
+        raise ScriptFormatError(f"unsupported script format {reprlib.repr(d.get('format'))}")
+    _section(d, "script", ("format", "spaces", "axioms", "steps", "goals"))
+    spaces: dict[str, tuple[str, str] | None] = {}
+    for s in _get(d.get("spaces", []), _list, "spaces"):
+        s = _section(s, "space", ("name", "pair"))
+        name = _get(s.get("name"), _name, "space name")
+        if name in spaces:
+            raise ScriptFormatError(f"duplicate space name {name!r}")
         pair = None
         if "pair" in s:
-            pair = tuple(_json_str(x, "pair member") for x in s["pair"])
+            pair = tuple(_get(m, _name, "pair member") for m in _get(s["pair"], _list, "pair"))
             if len(pair) != 2:
                 raise ScriptFormatError(f"pair space {name!r} must name two spaces")
-        spaces.append(SpaceDecl(name, pair))
-        if pair is None:
-            plain.add(name)
-    names = {s.name for s in spaces}
-    if len(names) != len(spaces):
-        raise ScriptFormatError("duplicate space names")
-    for s in spaces:
-        if s.pair is not None:
-            for member in s.pair:
-                if member not in plain:
-                    raise ScriptFormatError(
-                        f"pair space {s.name!r} refers to undeclared space {member!r}"
-                    )
-
-    def fact(fd: dict) -> Fact:
-        f = Fact.from_json_dict(fd)
-        if f.subject.space not in names:
-            raise ScriptFormatError(f"undeclared space {f.subject.space!r}")
-        if f.subject.degree < 0:
-            raise ScriptFormatError(f"negative degree in {f.subject.render()}")
-        if f.claim.other is not None and f.claim.other.space not in names:
-            raise ScriptFormatError(f"undeclared space {f.claim.other.space!r}")
-        return f
-
-    axioms = []
-    seen_ax: set[str] = set()
-    for a in d.get("axioms", ()):
-        aid = _json_str(a["id"], "axiom id")
-        if aid in seen_ax:
+        spaces[name] = pair
+    for name, pair in spaces.items():
+        for member in pair or ():
+            if spaces.get(member, ()) is not None:  # undeclared, or a pair itself
+                raise ScriptFormatError(f"pair {name!r} refers to {member!r}, not a plain space")
+    axioms: dict[str, Axiom] = {}
+    for a in _get(d.get("axioms", []), _list, "axioms"):
+        a = _section(a, "axiom", ("id", "cite", "facts", "computation"))
+        aid = _get(a.get("id"), _name, "axiom id")
+        if aid in axioms:
             raise ScriptFormatError(f"duplicate axiom id {aid!r}")
-        seen_ax.add(aid)
-        computation = a.get("computation", False)
-        if type(computation) is not bool:
-            raise ScriptFormatError(f"axiom {aid}: computation must be a boolean, got {computation!r}")
-        axioms.append(
-            Axiom(
-                id=aid,
-                cite=_json_str(a.get("cite", ""), "axiom cite"),
-                facts=tuple(fact(fd) for fd in a["facts"]),
-                computation=computation,
-            )
+        axioms[aid] = Axiom(
+            id=aid,
+            cite=_get(a.get("cite", ""), _name, "axiom cite"),
+            facts=tuple(_fact(f, spaces) for f in _get(a.get("facts"), _list, "axiom facts")),
+            computation=_get(a.get("computation", False), _flag, f"axiom {aid}: computation"),
         )
-    steps = []
-    seen_st: set[str] = set()
-    for s in d.get("steps", ()):
-        sid = _json_str(s["id"], "step id")
-        if sid in seen_st:
+    steps: dict[str, Step] = {}
+    for s in _get(d.get("steps", []), _list, "steps"):
+        s = _section(s, "step", ("id", "rule", "cite", "params", "inputs"))
+        sid = _get(s.get("id"), _name, "step id")
+        if sid in steps:
             raise ScriptFormatError(f"duplicate step id {sid!r}")
-        seen_st.add(sid)
-        params = s.get("params", {})
-        if not isinstance(params, dict):
-            raise ScriptFormatError(f"step {sid}: params must be a JSON object")
-        steps.append(
-            Step(
-                id=sid,
-                rule=_json_str(s["rule"], "rule"),
-                cite=_json_str(s.get("cite", ""), "step cite"),
-                params=dict(params),
-                inputs=tuple(fact(fd) for fd in s.get("inputs", ())),
-            )
+        steps[sid] = Step(
+            id=sid,
+            rule=_get(s.get("rule"), _name, "rule"),
+            cite=_get(s.get("cite", ""), _name, "step cite"),
+            params=dict(_get(s.get("params", {}), _object, f"step {sid}: params")),
+            inputs=tuple(_fact(f, spaces) for f in _get(s.get("inputs", []), _list, "step inputs")),
         )
-    goals = tuple(fact(fd) for fd in d.get("goals", ()))
-    return Script(SCRIPT_FORMAT, tuple(spaces), tuple(axioms), tuple(steps), goals)
+    goals = tuple(_fact(f, spaces) for f in _get(d.get("goals", []), _list, "goals"))
+    return Script(SCRIPT_FORMAT, spaces, tuple(axioms.values()), tuple(steps.values()), goals)
 
 
 def script_to_json_dict(script: Script) -> dict:
-    spaces = []
-    for s in script.spaces:
-        entry: dict = {"name": s.name}
-        if s.pair is not None:
-            entry["pair"] = list(s.pair)
-        spaces.append(entry)
+    spaces = [
+        {"name": name} if pair is None else {"name": name, "pair": list(pair)}
+        for name, pair in script.spaces.items()
+    ]
     axioms = []
     for a in script.axioms:
         entry = {"id": a.id, "cite": a.cite, "facts": [f.to_json_dict() for f in a.facts]}
@@ -605,44 +624,16 @@ def without_step(script: Script, step_id: str) -> Script:
 # --------------------------------------------------------------------------
 # rules
 #
-# A rule reads only its step and returns the facts it consumes with its
-# conclusions; apply_rule alone checks the consumed facts against the
-# declared inputs and the established fact set.
-
-
-def _name(value):
-    if type(value) is str:
-        return value
-
-
-def _integer(value):
-    # JSON integers only: "3", 3.0 and true would pass an int() coercion.
-    if type(value) is int:
-        return value
-
-
-def _integers(value):
-    if type(value) is list and all(type(k) is int for k in value):
-        return value
-
-
-def _ref(value):
-    if type(value) is dict:
-        space, degree = value.get("space"), value.get("degree")
-        if type(space) is str and type(degree) is int:
-            return GroupRef(space, degree)
-
-
-_READERS = {
-    _name: "a string",
-    _integer: "an integer",
-    _integers: "a list of integers",
-    _ref: "a group ref",
-}
+# A rule reads only its step and the declared spaces, and returns the facts
+# it consumes with its conclusions; apply_rule alone checks the consumed
+# facts against the declared inputs and the established fact set.
 
 
 def _read(step: Step, **readers) -> list:
-    """The step's parameters named by ``readers``, read in that order."""
+    """The step's parameters named by ``readers``, read in that order; it may have no others."""
+    for key in step.params:
+        if key not in readers:
+            raise ParameterMismatchError(f"step {step.id}: unknown parameter {key!r}")
     values = []
     for key, reader in readers.items():
         if key not in step.params:
@@ -672,13 +663,14 @@ def _about(step: Step, ref: GroupRef) -> tuple[Fact, frozenset[int]]:
     raise MissingInputError(f"step {step.id}: needs a fact about {ref.render()}")
 
 
-def _rule_thom_iso(step: Step) -> tuple[list[Fact], list[Fact]]:
+def _rule_thom_iso(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # H^k(pair) = (copies) disjoint summands of H^(k - codim)(center).
     pair, center, copies, codim, degrees = _read(
         step, pair=_name, center=_name, copies=_integer, codim=_integer, degrees=_integers
     )
     if copies < 1 or codim < 1:
         raise ParameterMismatchError(f"step {step.id}: copies and codim must be positive")
+    _pair(step, spaces, pair)
     consumed = {}  # a fact read for two degrees is consumed once
     outputs = []
     for k in degrees:
@@ -695,23 +687,44 @@ def _rule_thom_iso(step: Step) -> tuple[list[Fact], list[Fact]]:
     return list(consumed), outputs
 
 
-def _rule_les_torsion_equal(step: Step) -> tuple[list[Fact], list[Fact]]:
-    # Exact 0 -> left -> mid -> right with the leading term zero and the
-    # right term torsion free: left and mid have the same torsion.
+def _pair(step: Step, spaces: dict, name: str) -> tuple[str, str]:
+    """The members (X, Y) of the declared pair ``name``."""
+    pair = spaces.get(name)
+    if pair is None:
+        raise ParameterMismatchError(f"step {step.id}: {name!r} is not a declared pair")
+    return pair
+
+
+def _check_sequence(step: Step, spaces: dict, zero: GroupRef, *terms: GroupRef) -> None:
+    """``terms`` must run H^k(X), H^k(Y), H^(k+1)(P) on from ``zero`` = H^k(P), P = (X, Y)."""
+    x, y = _pair(step, spaces, zero.space)
+    k = zero.degree
+    sequence = (GroupRef(x, k), GroupRef(y, k), GroupRef(zero.space, k + 1))[: len(terms)]
+    if terms != sequence:
+        want = ", ".join(ref.render() for ref in sequence)
+        raise ParameterMismatchError(f"step {step.id}: after {zero.render()} must come {want}")
+
+
+def _rule_les_torsion_equal(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+    # The pair's exact H^k(P) -> H^k(X) -> H^k(Y) -> H^(k+1)(P) with the first
+    # term zero and the last torsion free: H^k(X) and H^k(Y) have the same torsion.
     zero, left, mid, right = _read(step, zero=_ref, left=_ref, mid=_ref, right=_ref)
+    _check_sequence(step, spaces, zero, left, mid, right)
     return (
         [Fact(zero, Claim.is_zero()), Fact(right, Claim.torsion_free())],
         [Fact(left, Claim.torsion_equals(mid))],
     )
 
 
-def _rule_les_inject(step: Step) -> tuple[list[Fact], list[Fact]]:
-    # Exact zero -> source -> target: torsion of source embeds in target's.
+def _rule_les_inject(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+    # The pair's exact H^k(P) -> H^k(X) -> H^k(Y) with the first term zero:
+    # the torsion of H^k(X) embeds in that of H^k(Y).
     zero, source, target = _read(step, zero=_ref, source=_ref, target=_ref)
+    _check_sequence(step, spaces, zero, source, target)
     return [Fact(zero, Claim.is_zero())], [Fact(source, Claim.torsion_injects_into(target))]
 
 
-def _rule_transfer_cover(step: Step) -> tuple[list[Fact], list[Fact]]:
+def _rule_transfer_cover(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # Degree-d covering total -> base: restriction followed by transfer is
     # multiplication by d, so base torsion away from d injects into the
     # total space's torsion.
@@ -725,7 +738,7 @@ def _rule_transfer_cover(step: Step) -> tuple[list[Fact], list[Fact]]:
     return [fact], [Fact(GroupRef(base, k), Claim.only_primes(primes))]
 
 
-def _rule_blowup_split(step: Step) -> tuple[list[Fact], list[Fact]]:
+def _rule_blowup_split(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # Blow-up along a smooth center of complex codimension c: cohomology
     # splits off shifted copies of the center, so torsion primes of the
     # blow-up are bounded by those of the base and the shifted center.
@@ -747,7 +760,7 @@ def _rule_blowup_split(step: Step) -> tuple[list[Fact], list[Fact]]:
     return list(consumed), outputs
 
 
-def _rule_duality_uct(step: Step) -> tuple[list[Fact], list[Fact]]:
+def _rule_duality_uct(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # On a closed oriented n-manifold, Poincare duality plus universal
     # coefficients give tors H^(j+1) = tors H_j = tors H^(n-j).
     manifold, n, j = _read(step, manifold=_name, dim=_integer, homology_degree=_integer)
@@ -756,7 +769,7 @@ def _rule_duality_uct(step: Step) -> tuple[list[Fact], list[Fact]]:
     return [], [Fact(GroupRef(manifold, j + 1), Claim.torsion_equals(GroupRef(manifold, n - j)))]
 
 
-def _rule_spectral_vanishing(step: Step) -> tuple[list[Fact], list[Fact]]:
+def _rule_spectral_vanishing(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # Cartan-Leray for a free action: when every H^p(G, H^(k-p)) with
     # p >= 1 vanishes, H^k of the quotient is the invariant edge term,
     # which is torsion free whenever the fixed part is.
@@ -777,7 +790,7 @@ def _rule_spectral_vanishing(step: Step) -> tuple[list[Fact], list[Fact]]:
     return consumed, [Fact(GroupRef(quotient, k), Claim.torsion_free())]
 
 
-def _rule_complement_iso(step: Step) -> tuple[list[Fact], list[Fact]]:
+def _rule_complement_iso(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # Removing a finite point set from a closed n-manifold leaves H^k
     # unchanged for k <= n - 2.
     manifold, complement, n, _, degrees = _read(
@@ -795,7 +808,7 @@ def _rule_complement_iso(step: Step) -> tuple[list[Fact], list[Fact]]:
     ]
 
 
-def _rule_combine_primes(step: Step) -> tuple[list[Fact], list[Fact]]:
+def _rule_combine_primes(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # Two torsion bounds on the same group intersect.
     subject, first, second = _read(step, subject=_ref, first=_integers, second=_integers)
     return (
@@ -835,7 +848,7 @@ def _step_outputs(store: FactStore, step: Step) -> list[Fact]:
     handler = _RULES.get(step.rule)
     if handler is None:
         raise UnknownRuleError(f"step {step.id}: unknown rule {step.rule!r}")
-    consumed, outputs = handler(step)
+    consumed, outputs = handler(step, store.spaces)
     if set(step.inputs) != set(consumed) or len(step.inputs) != len(consumed):
         want = ", ".join(f.render() for f in consumed) or "(none)"
         raise ParameterMismatchError(f"step {step.id}: inputs must be exactly: {want}")
@@ -970,7 +983,7 @@ def _goal_chain(store: FactStore, inputs: dict, fact: Fact) -> tuple[tuple[str, 
 
 def check_script(script: Script) -> Report:
     """Replay a script from scratch and report every axiom, step and goal."""
-    store = FactStore(script.space_names())
+    store = FactStore(script.spaces)
     first_failure: str | None = None
     axiom_records = []
     for ax in script.axioms:

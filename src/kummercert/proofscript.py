@@ -11,10 +11,9 @@ still records what the model computes.
 from __future__ import annotations
 
 import importlib.resources
-import json
 
 from .kummer import KummerContext
-from .ledger import Script, leaf_facts_from_computation, parse_script
+from .ledger import Script, leaf_facts_from_computation, read_script
 
 __all__ = ["build_script", "load_shipped_script", "shipped_script_text"]
 
@@ -35,4 +34,4 @@ def shipped_script_text() -> str:
 
 
 def load_shipped_script() -> Script:
-    return parse_script(json.loads(shipped_script_text()))
+    return read_script(shipped_script_text())

@@ -3,6 +3,7 @@ import importlib.resources
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from kummercert.ledger import (
     SCRIPT_FORMAT,
     ScriptFormatError,
     parse_script,
+    read_script,
     script_to_json_dict,
     without_axiom,
     without_step,
@@ -345,6 +347,14 @@ MALFORMED_SCRIPTS = {
         {"subject": {"space": "pt", "degree": 1},
          "claim": {"kind": "iso_to", "rank": 0, "torsion": [2**61 - 1]}}
     ),
+    # What is reviewed is what is checked: no key is silently ignored.
+    "unknown top-level key": lambda d: d.update(x=1),
+    "unknown space key": lambda d: d["spaces"][0].update(dim=8),
+    "unknown axiom key": lambda d: d["axioms"][0].update(cites="Totaro"),
+    "unknown step key": lambda d: d["steps"][0].update(param={}),
+    "unknown fact key": lambda d: d["goals"][0].update(note="x"),
+    "unknown subject key": lambda d: d["goals"][0]["subject"].update(dim=8),
+    "claim key of another kind": lambda d: d["goals"][0]["claim"].update(rank=0),
 }
 
 
@@ -359,10 +369,22 @@ def test_malformed_scripts_exit_2(name, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+SHIPPED_TEXT = shipped_script_text()
+
+
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe{", "[".encode() * 100_000, b'{"format": ' + b"[" * 5000 + b"]" * 5000 + b"}"],
-    ids=["not utf-8", "deep array", "deep value"],
+    [
+        b"\xff\xfe{",
+        "[".encode() * 100_000,
+        b'{"format": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        # One digit more than the interpreter converts to an int.
+        SHIPPED_TEXT.replace('"degree": 0', '"degree": ' + "1" * 4301, 1).encode(),
+        SHIPPED_TEXT.replace('"format"', '"format": "kummer-proof/1", "format"', 1).encode(),
+        # Not JSON, though the decoder would read it: a float step parameter fails only its step.
+        SHIPPED_TEXT.replace('"dim": 8', '"dim": NaN', 1).encode(),
+    ],
+    ids=["not utf-8", "deep array", "deep value", "4301 digits", "duplicate key", "NaN"],
 )
 def test_unreadable_documents_exit_2(content, tmp_path, capsys):
     path = tmp_path / "unreadable.proof"
@@ -370,6 +392,7 @@ def test_unreadable_documents_exit_2(content, tmp_path, capsys):
     assert main(["check-ledger", "--script", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def check_ledger_json(script, tmp_path, capsys):
@@ -386,10 +409,10 @@ def test_a_rule_exception_fails_only_its_step(tmp_path, capsys, monkeypatch):
     # Not only ledger errors: whatever a rule raises fails its own step.
     combine_primes = ledger._RULES["combine_primes"]
 
-    def broken(step):
+    def broken(step, spaces):
         if step.id == "s15":
             raise TypeError("broken on purpose")
-        return combine_primes(step)
+        return combine_primes(step, spaces)
 
     monkeypatch.setitem(ledger._RULES, "combine_primes", broken)
     script = shipped_json()
@@ -438,6 +461,72 @@ def test_a_bad_step_parameter_fails_its_step(name, tmp_path, capsys):
     )
     # Later steps can only miss the facts the failed step would have added.
     assert all(error.startswith("MissingInputError: ") for error in failed.values())
+    assert payload["ledger"]["first_failure"].startswith(f"step {step_id}: ")
+
+
+def test_an_unknown_step_parameter_fails_its_step(tmp_path, capsys):
+    script = shipped_json()
+    first_step(script, "duality_uct")["params"]["degree"] = 4
+    code, payload = check_ledger_json(script, tmp_path, capsys)
+    assert code == 1
+    assert payload["ledger"]["first_failure"] == (
+        "step s21: ParameterMismatchError: step s21: unknown parameter 'degree'"
+    )
+
+
+def hk(space, degree, kind):
+    return {"subject": {"space": space, "degree": degree}, "claim": {"kind": kind}}
+
+
+def unrelated_spaces_script():
+    """One les_torsion_equal step over plain spaces X, P and Q, none of them a pair."""
+    inputs = [hk("P", 7, "is_zero"), hk("Q", 8, "torsion_free")]
+    refs = {"zero": ("P", 7), "left": ("X", 7), "mid": ("Q", 8), "right": ("Q", 8)}
+    return {
+        "format": SCRIPT_FORMAT,
+        "spaces": [{"name": "X"}, {"name": "P"}, {"name": "Q"}],
+        "axioms": [{"id": "a", "facts": inputs}],
+        "steps": [{
+            "id": "s",
+            "rule": "les_torsion_equal",
+            "params": {key: {"space": x, "degree": k} for key, (x, k) in refs.items()},
+            "inputs": inputs,
+        }],
+        "goals": [hk("X", 7, "torsion_free")],
+    }
+
+
+def test_an_exact_sequence_needs_a_declared_pair(tmp_path, capsys):
+    # Facts about P and Q say nothing about X.
+    code, payload = check_ledger_json(unrelated_spaces_script(), tmp_path, capsys)
+    assert code == 1
+    assert payload["ledger"]["first_failure"] == (
+        "step s: ParameterMismatchError: step s: 'P' is not a declared pair"
+    )
+    assert payload["ledger"]["goals"][0]["established"] is False
+
+
+def swapped(a, b):
+    return lambda params: params.update({a: params[b], b: params[a]})
+
+
+# Each edit unties a shipped step from its declared pair P = (X, Y).
+PAIR_MISMATCHES = {
+    "les_torsion_equal with X and Y swapped": ("s04", swapped("left", "mid")),
+    "les_inject with X and Y swapped": ("s19", swapped("source", "target")),
+    "thom_iso on a member of the pair": ("s03", lambda params: params.update(pair="A")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_MISMATCHES))
+def test_a_step_untied_from_its_pair_fails(name, tmp_path, capsys):
+    step_id, edit = PAIR_MISMATCHES[name]
+    script = shipped_json()
+    edit(next(s for s in script["steps"] if s["id"] == step_id)["params"])
+    code, payload = check_ledger_json(script, tmp_path, capsys)
+    assert code == 1
+    [record] = [r for r in payload["ledger"]["steps"] if r["id"] == step_id]
+    assert record["error"].startswith(f"ParameterMismatchError: step {step_id}: ")
     assert payload["ledger"]["first_failure"].startswith(f"step {step_id}: ")
 
 
@@ -518,14 +607,14 @@ def test_a_failing_axiom_adds_none_of_its_facts(tmp_path, capsys):
 
 
 def one_thom_step(copies, rank=0, torsion=(3,)):
-    """H^1(P) from copies of H^0(C) = Z^rank + torsion by one thom_iso step."""
+    """H^1(P) from copies of H^0(C) = Z^rank + torsion by one thom_iso step; P = (X, Y)."""
     center = {
         "subject": {"space": "C", "degree": 0},
         "claim": {"kind": "iso_to", "rank": rank, "torsion": list(torsion)},
     }
     return {
         "format": SCRIPT_FORMAT,
-        "spaces": [{"name": "C"}, {"name": "P"}],
+        "spaces": [{"name": "C"}, {"name": "X"}, {"name": "Y"}, {"name": "P", "pair": ["X", "Y"]}],
         "axioms": [{"id": "center", "facts": [center]}],
         "steps": [{
             "id": "t",
@@ -646,10 +735,11 @@ def check_ledger_exit_code_of_bytes(content, directory):
         return main(["check-ledger", "--script", str(path)])
 
 
-def assert_contract(doc, code):
-    # Exit 2 is for a document that does not parse, and only for that.
+def assert_contract(content, directory):
+    # Exit 2 is for a text that is not a script, and only for that.
+    code = check_ledger_exit_code_of_bytes(content, directory)
     try:
-        parse_script(doc)
+        read_script(content)
     except ScriptFormatError:
         assert code == 2
     else:
@@ -673,7 +763,7 @@ def test_check_ledger_passes_the_unmutated_script(fuzz_dir):
 @FUZZ
 @given(st.one_of(JSON_VALUES, script_shaped()))
 def test_check_ledger_survives_arbitrary_json(fuzz_dir, doc):
-    assert_contract(doc, check_ledger_exit_code(doc, fuzz_dir))
+    assert_contract(json.dumps(doc).encode(), fuzz_dir)
 
 
 @FUZZ
@@ -683,10 +773,45 @@ def test_check_ledger_survives_mutated_scripts(fuzz_dir, mutations, data):
     names = [space["name"] for space in doc["spaces"]]
     for _ in range(mutations):
         mutate(data, doc, names)
-    assert_contract(doc, check_ledger_exit_code(doc, fuzz_dir))
+    assert_contract(json.dumps(doc).encode(), fuzz_dir)
 
 
 @FUZZ
 @given(st.one_of(st.binary(), st.text().map(str.encode)))
 def test_check_ledger_survives_arbitrary_bytes(fuzz_dir, content):
-    assert check_ledger_exit_code_of_bytes(content, fuzz_dir) in (0, 1, 2)
+    assert_contract(content, fuzz_dir)
+
+
+# Integer values in the shipped text, which is printed one value to a line.
+INTEGER_VALUES = [m.span() for m in re.finditer(r"(?<= )-?[0-9]+(?=,?\n)", SHIPPED_TEXT)]
+KEYS = [m.start() for m in re.finditer(r'"[a-z_]+": ', SHIPPED_TEXT)]
+
+
+@st.composite
+def spliced_text(draw):
+    """The shipped text with one lexical hazard spliced in."""
+    text = SHIPPED_TEXT.encode()
+    start, end = draw(st.sampled_from(INTEGER_VALUES))
+    hazard = draw(st.sampled_from(("digits", "constant", "nesting", "duplicate", "bom", "byte")))
+    if hazard == "digits":  # around the interpreter's 4300-digit limit
+        digits = draw(st.integers(4290, 4310))
+        return text[:start] + b"1" + b"0" * (digits - 1) + text[end:]
+    if hazard == "constant":
+        return text[:start] + draw(st.sampled_from((b"NaN", b"Infinity", b"-Infinity"))) + text[end:]
+    if hazard == "nesting":
+        depth = draw(st.sampled_from((1, 10, 500, 5000)))
+        return text[:start] + b"[" * depth + text[start:end] + b"]" * depth + text[end:]
+    if hazard == "duplicate":  # the same key twice in one object
+        at = draw(st.sampled_from(KEYS))
+        key = text[at:text.index(b":", at) + 1]
+        return text[:at] + key + b" 0, " + text[at:]
+    at = draw(st.integers(0, len(text)))
+    if hazard == "bom":
+        return text[:at] + "\ufeff".encode() + text[at:]
+    return text[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + text[at:]
+
+
+@FUZZ
+@given(spliced_text())
+def test_check_ledger_survives_spliced_text(fuzz_dir, content):
+    assert_contract(content, fuzz_dir)

@@ -34,3 +34,17 @@ def test_no_invariant_rests_on_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+@pytest.mark.parametrize("name", ["cli.py", "proofscript.py"])
+def test_only_the_ledger_decodes_script_text(name):
+    # ledger.read_script is the one reader of a script, so neither module decodes JSON itself.
+    tree = ast.parse((Path(kummercert.__file__).parent / name).read_text())
+    decodes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+    ]
+    assert decodes == []

@@ -17,7 +17,6 @@ from kummercert.ledger import (
     SCRIPT_FORMAT,
     Script,
     ScriptFormatError,
-    SpaceDecl,
     Step,
     UnknownRuleError,
     _commit,
@@ -33,7 +32,7 @@ from kummercert.ledger import (
 from kummercert.linalg import FinAbGroup
 from kummercert.proofscript import load_shipped_script
 
-SPACES = frozenset({"X", "Y", "Z", "(X,Y)"})
+SPACES = {"X": None, "Y": None, "Z": None, "(X,Y)": ("X", "Y")}
 
 
 def ref(space, degree):
@@ -273,8 +272,7 @@ def test_a_step_failing_mid_closure_leaves_the_store_as_it_was():
     with pytest.raises(InconsistentFactError):
         _commit(store, _step_outputs(store, the_step), ("step", the_step.id))
     assert list(store._facts.items()) == list(before._facts.items())
-    assert store._by_subject == before._by_subject
-    assert store._relations == before._relations
+    assert store._about == before._about
     with pytest.raises(InconsistentFactError):
         apply_rule(store, the_step)
     assert list(store._facts.items()) == list(before._facts.items())
@@ -349,7 +347,7 @@ def test_replay_produces_the_known_relative_groups(shipped):
 def test_empty_script_fails_its_goal():
     empty = Script(
         format=SCRIPT_FORMAT,
-        spaces=(SpaceDecl("X"),),
+        spaces={"X": None},
         axioms=(),
         steps=(),
         goals=(Fact(ref("X", 3), Claim.torsion_free()),),

@@ -17,7 +17,6 @@ from kummercert.ledger import (
     GroupRef,
     Report,
     Script,
-    SpaceDecl,
     Step,
     StepRecord,
 )
@@ -68,13 +67,6 @@ CASES = [
         FACT_REPR,
     ),
     (
-        SpaceDecl,
-        dict(name="X", pair=("A", "B")),
-        "pair",
-        None,
-        "SpaceDecl(name='X', pair=('A', 'B'))",
-    ),
-    (
         Axiom,
         dict(id="a1", cite="cite", facts=(FACT,), computation=True),
         "computation",
@@ -90,10 +82,10 @@ CASES = [
     ),
     (
         Script,
-        dict(format="kummer-proof/1", spaces=(SpaceDecl("X"),), axioms=(), steps=(), goals=(FACT,)),
+        dict(format="kummer-proof/1", spaces={"X": None}, axioms=(), steps=(), goals=(FACT,)),
         "goals",
         (),
-        "Script(format='kummer-proof/1', spaces=(SpaceDecl(name='X', pair=None),), axioms=(), "
+        "Script(format='kummer-proof/1', spaces={'X': None}, axioms=(), "
         f"steps=(), goals=({FACT_REPR},))",
     ),
     (
