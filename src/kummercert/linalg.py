@@ -90,7 +90,9 @@ class Value:
     sets them in ``__init__`` with ``_set`` or ``_init``.  Instances compare
     and hash field-wise (only with instances of the same class), print in
     the dataclass format and refuse assignment and deletion.  Types on hot
-    paths spell out ``__eq__`` and ``__hash__`` instead of these loops.
+    paths spell out ``__eq__`` and ``__hash__`` instead of these loops; the
+    ledger's hash-consed facts set their fields in ``__new__`` instead and
+    compare by identity.
     """
 
     __slots__ = ()

@@ -395,6 +395,21 @@ def test_unreadable_documents_exit_2(content, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_a_duplicate_among_many_keys_is_found_quickly(tmp_path, capsys):
+    # 100 000 keys in one object, the last a repeat: the keys are counted once.
+    keys = [f'"k{i}": 0' for i in range(99_999)] + ['"k99998": 0']
+    text = "{" + ", ".join(keys) + "}"
+    started = time.perf_counter()
+    with pytest.raises(ScriptFormatError, match="^duplicate key 'k99998'$"):
+        read_script(text)
+    assert time.perf_counter() - started < 5.0
+    path = tmp_path / "many_keys.proof"
+    path.write_text(text)
+    assert main(["check-ledger", "--script", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "duplicate key" in captured.err
+
+
 def check_ledger_json(script, tmp_path, capsys):
     """The exit code and JSON report of check-ledger on ``script``."""
     path = tmp_path / "edited.proof"

@@ -48,3 +48,20 @@ def test_only_the_ledger_decodes_script_text(name):
         or isinstance(node, ast.ImportFrom) and node.module == "json"
     ]
     assert decodes == []
+
+
+def test_the_ledger_builds_no_tuple_from_a_generator():
+    # tuple(<generator>) grows its tuple by resizing, outside CPython's tuple
+    # free lists, but frees it into one, and only a full collection empties
+    # them.  With hash-consed facts a replay allocates too few GC-tracked
+    # objects to trigger full collections, so per-replay tuples built this way
+    # filled the free lists: over 3000 ledger-workload ops on CPython 3.11,
+    # peak RSS grew 1.5 MiB, against 0.4 MiB with the tuples built from lists.
+    tree = ast.parse(Path(ledger.__file__).read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple" and node.args and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+    assert calls == []

@@ -244,14 +244,18 @@ def test_every_rule_takes_exactly_its_declared_inputs(shipped, step_id):
 
 def test_apply_rule_is_pure_and_idempotent():
     total_tf = Fact(ref("X", 3), Claim.torsion_free())
-    store = store_with(total_tf)
+    # A weaker bound on the step's subject, so that the step extends an index entry.
+    store = store_with(total_tf, Fact(ref("Y", 3), Claim.only_primes((3, 5))))
     the_step = step(
         "transfer_cover",
         {"cover_degree": 3, "total": "X", "base": "Y", "k": 3},
         [total_tf],
     )
+    facts_before = list(store._facts.items())
+    about_before = {group: list(facts) for group, facts in store._about.items()}
     out1 = apply_rule(store, the_step)
     assert Fact(ref("Y", 3), Claim.only_primes((3,))) not in store
+    assert list(store._facts.items()) == facts_before and store._about == about_before
     out2 = apply_rule(out1, the_step)
     assert out1.facts_since(0) == out2.facts_since(0)
 

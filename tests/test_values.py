@@ -1,6 +1,7 @@
 """The package's value types: immutable, equal and hashed field-wise, printed like dataclasses."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -134,6 +135,14 @@ CASES = [
     ),
 ]
 IDENTITY_EQ = (Step, Script)
+# Hash-consed: equal values are one object.  Each field's other value, to show it is in the key.
+INTERNED = (GroupRef, Claim, Fact)
+OTHER_FIELD_VALUES = {
+    GroupRef: dict(space="Y", degree=4),
+    Claim: dict(kind="torsion_free", primes=frozenset({2}), group=FinAbGroup(0),
+                other=GroupRef("Y", 1)),
+    Fact: dict(subject=GroupRef("Y", 3), claim=Claim("torsion_free")),
+}
 # Unhashable as before: a field holds a matrix or a dict, or the type is mutable.
 UNHASHABLE = (LatticeAction, KummerContext, RunConfig)
 
@@ -158,6 +167,11 @@ def test_value_semantics(cls, fields, name, new, expected_repr):
 
     if cls in IDENTITY_EQ:
         assert a == a and a != b and hash(a) != hash(b)
+    elif cls in INTERNED:
+        assert cls(**fields) is a
+        assert copy.copy(a) is a and copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+        for field in cls._fields:
+            assert cls(**{**fields, field: OTHER_FIELD_VALUES[cls][field]}) is not a, field
     else:
         assert a == cls(**fields) and a != changed
         if cls in UNHASHABLE:
