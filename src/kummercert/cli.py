@@ -38,19 +38,13 @@ class ConfigError(Exception):
 
 
 class RunConfig(Value):
-    """A parsed command line; mutable, unlike the other value types."""
+    """A parsed command line."""
 
     __slots__ = _fields = ("command", "output_format", "script_path", "seed")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, command: str, output_format: str = "text", script_path: str | None = None,
                  seed: int = 0):
-        self.command = command
-        self.output_format = output_format
-        self.script_path = script_path
-        self.seed = seed
+        self._init(command, output_format, script_path, seed)
 
 
 def _validate(config: RunConfig) -> None:
@@ -91,7 +85,7 @@ def _cmd_cohomology(config: RunConfig):
         jtype = jordan_type_mod3(coeff)
         for p in (1, 2):
             group = cohomology_snf(coeff, p)
-            closed = cohomology_closed_form(jtype, "odd" if p % 2 else "even")
+            closed = cohomology_closed_form(jtype, p)
             agree = group == closed
             ok = ok and agree
             rows.append(
@@ -186,14 +180,13 @@ def _cmd_full_cert(config: RunConfig):
     report_payload = None
     certified = vanishing_ok and model.is_expected_model and table_ok
     if certified:
-        ctx = model.context()
         shipped = load_shipped_script()
-        recomputed = leaf_facts_from_computation(ctx)
+        recomputed = leaf_facts_from_computation(model)
         section(
             "computation-backed axioms",
             tuple(a for a in shipped.axioms if a.computation) == recomputed,
             f"{len(recomputed)} recomputed facts match the shipped script "
-            f"[computed, tag {ctx.content_tag()}]",
+            f"[computed, tag {model.content_tag()}]",
         )
         report = check_script(shipped)
         report_payload = report.to_json_dict()
@@ -221,7 +214,7 @@ def _cmd_full_cert(config: RunConfig):
     lines.append(CONCLUSION if passed else "certification FAILED")
     payload = {"sections": sections, "conclusion": lines[-1]}
     if certified:
-        payload["context"] = ctx.to_json_dict()
+        payload["context"] = model.to_json_dict()
     if report_payload is not None:
         payload["ledger"] = report_payload
     return passed, payload, "\n".join(lines)

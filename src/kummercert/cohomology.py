@@ -45,7 +45,6 @@ randomized block-sum lattices, which is the guard for this dependency.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Literal
 
 from .jordan import JordanType, _type_from_ranks
 from .linalg import (
@@ -185,15 +184,11 @@ def cohomology_snf(action: LatticeAction, degree: int) -> FinAbGroup:
     return odd if degree % 2 else even
 
 
-def cohomology_closed_form(j: JordanType, parity: Literal["even", "odd"]) -> FinAbGroup:
-    """Closed form: (Z/3)^l1 in even degrees, (Z/3)^l2 in odd degrees."""
-    if parity == "even":
-        count = j.l1
-    elif parity == "odd":
-        count = j.l2
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return FinAbGroup(0, (3,) * count)
+def cohomology_closed_form(j: JordanType, degree: int) -> FinAbGroup:
+    """Closed form for degree >= 1: (Z/3)^l1 in even degrees, (Z/3)^l2 in odd degrees."""
+    if degree < 1:
+        raise BadDegreeError("positive degrees only; degree 0 is the fixed lattice")
+    return FinAbGroup(0, (3,) * (j.l2 if degree % 2 else j.l1))
 
 
 def fixed_points(action: LatticeAction) -> FinAbGroup:
@@ -282,8 +277,7 @@ def cross_validate(rng, samples: int, max_rank: int) -> bool:
         action, counts = random_conjugated_block_action(rng, max_rank=max_rank)
         observed = jordan_type_mod3(action)
         if observed != counts or any(
-            cohomology_snf(action, p) != cohomology_closed_form(observed, ("even", "odd")[p % 2])
-            for p in range(1, 5)
+            cohomology_snf(action, p) != cohomology_closed_form(observed, p) for p in range(1, 5)
         ):
             return False
     return True

@@ -35,7 +35,6 @@ from .linalg import FinAbGroup, IntMatrix, InvariantError, Value, exterior_power
 
 __all__ = [
     "CertificateFailure",
-    "KummerContext",
     "KummerModel",
     "MismatchError",
     "VANISHING_PAIRS",
@@ -97,7 +96,7 @@ class KummerModel:
 
     The powers Lambda^q for q = 0..5 are built with the model; every
     invariant read off them is computed on first use and then kept, so the
-    commands and the context that share a model never recompute a lattice.
+    commands and the axioms built from one model never recompute a lattice.
     """
 
     def __init__(self, action: LatticeAction):
@@ -154,19 +153,24 @@ class KummerModel:
         # fixed vectors; anything else means the model is wrong.
         return self.base_type == _EXPECTED_H1_TYPE and self.fixed_ranks[1] == 0
 
-    def context(self) -> "KummerContext":
-        """The certified context; the model must be the expected one."""
+    def to_json_dict(self) -> dict:
+        """The certified content; the model must be the expected one."""
         if not self.is_expected_model:
             raise InvariantError(
                 f"the degree-1 model has mod-3 type {self.base_type} and fixed rank "
                 f"{self.fixed_ranks[1]}, expected {_EXPECTED_H1_TYPE} and 0"
             )
-        return KummerContext(
-            sigma_h1=self.action,
-            ell=self.ell,
-            vanishing=self.vanishing,
-            fixed_ranks=self.fixed_ranks,
-        )
+        return {
+            "sigma_h1": self.action.matrix.to_lists(),
+            "ell_table": {str(k): t.to_json_dict() for k, t in sorted(self.ell.items())},
+            "vanishing": [e.to_json_dict() for e in self.vanishing],
+            "fixed_ranks": {str(q): r for q, r in sorted(self.fixed_ranks.items())},
+        }
+
+    def content_tag(self) -> str:
+        """Short digest of the certified content, for tagging emitted facts."""
+        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def build_model(action: LatticeAction | None = None) -> KummerModel:
@@ -191,28 +195,8 @@ def fixed_rank_table(action: LatticeAction | None = None) -> dict[int, int]:
     return build_model(action).fixed_ranks
 
 
-class KummerContext(Value):
-    """Everything the certificate checker consumes, as one immutable value."""
-
-    __slots__ = _fields = ("sigma_h1", "ell", "vanishing", "fixed_ranks")
-
-    def __init__(self, sigma_h1: LatticeAction, ell: dict[int, JordanType],
-                 vanishing: tuple[VanishingEntry, ...], fixed_ranks: dict[int, int]):
-        self._init(sigma_h1, ell, vanishing, fixed_ranks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_h1": self.sigma_h1.matrix.to_lists(),
-            "ell_table": {str(k): t.to_json_dict() for k, t in sorted(self.ell.items())},
-            "vanishing": [e.to_json_dict() for e in self.vanishing],
-            "fixed_ranks": {str(q): r for q, r in sorted(self.fixed_ranks.items())},
-        }
-
-    def content_tag(self) -> str:
-        """Short digest of the computed content, for tagging emitted facts."""
-        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def build_context() -> KummerContext:
-    return build_model().context()
+# The benchmark's tracer (``benchmarks/tracing.py``, ``LAYERS``) looks this
+# name up, so it stays until ROADMAP item 6 removes it with the other names
+# that only the tracer and the tests call.
+def build_context() -> KummerModel:
+    return build_model()

@@ -49,7 +49,7 @@ import json
 import reprlib
 from collections import Counter
 
-from .kummer import CertificateFailure, KummerContext
+from .kummer import CertificateFailure, KummerModel
 from .linalg import FinAbGroup, Value, _set, prime_factors
 
 __all__ = [
@@ -1045,20 +1045,20 @@ def coefficient_space(q: int, group: str = "A3", coefficient: str = "V") -> str:
     return f"{group},H^{q}({coefficient})"
 
 
-def leaf_facts_from_computation(ctx: KummerContext) -> tuple[Axiom, ...]:
+def leaf_facts_from_computation(model: KummerModel) -> tuple[Axiom, ...]:
     """The computed vanishing and fixed-part facts, as taggable axioms.
 
     Refuses to emit anything if the certificate contains a non-zero entry;
-    a tampered or inconsistent context must never turn into axioms.
+    a model whose certificate does not vanish must never turn into axioms.
     """
-    for entry in ctx.vanishing:
+    for entry in model.vanishing_entries:
         if not entry.group.is_zero:
             raise CertificateFailure(
                 f"refusing to emit facts: H^{entry.p}(A3, H^{entry.q}) = {entry.group}"
             )
-    tag = ctx.content_tag()
+    tag = model.content_tag()
     axioms: list[Axiom] = []
-    for entry in ctx.vanishing:
+    for entry in model.vanishing_entries:
         ref = GroupRef(coefficient_space(entry.q), entry.p)
         axioms.append(
             Axiom(
@@ -1074,7 +1074,7 @@ def leaf_facts_from_computation(ctx: KummerContext) -> tuple[Axiom, ...]:
             )
         )
     for q in (3, 5):
-        rank = ctx.fixed_ranks[q]
+        rank = model.fixed_ranks[q]
         ref = GroupRef(coefficient_space(q), 0)
         axioms.append(
             Axiom(

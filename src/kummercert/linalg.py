@@ -21,7 +21,6 @@ column-wedge expansion over the non-zero entries for compound
 from __future__ import annotations
 
 import itertools
-import operator
 
 # Tuples of rows are built from lists, never from generators or map objects:
 # tuple() of an iterator of unknown length allocates a guessed size and then
@@ -498,24 +497,6 @@ class IntMatrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix._trusted(
-            tuple([tuple(list(map(operator.add, r, s))) for r, s in zip(self.data, other.data)]),
-            self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix._trusted(
-            tuple([tuple(list(map(operator.sub, r, s))) for r, s in zip(self.data, other.data)]),
-            self.cols,
-        )
-
-    def _same_shape(self, other: "IntMatrix") -> None:
-        if not isinstance(other, IntMatrix) or self.shape != other.shape:
-            raise ValueError("mismatched shapes")
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .kummer import KummerContext
+from .kummer import KummerModel
 from .ledger import Script, leaf_facts_from_computation, read_script
 
 __all__ = ["build_script", "load_shipped_script", "shipped_script_text"]
 
 
-def build_script(ctx: KummerContext) -> Script:
-    """The shipped script with its computation-backed axioms rebuilt from ``ctx``."""
+def build_script(model: KummerModel) -> Script:
+    """The shipped script with its computation-backed axioms rebuilt from ``model``."""
     shipped = load_shipped_script()
     geometric = tuple(a for a in shipped.axioms if not a.computation)
-    return shipped.replace(axioms=geometric + leaf_facts_from_computation(ctx))
+    return shipped.replace(axioms=geometric + leaf_facts_from_computation(model))
 
 
 def shipped_script_text() -> str:

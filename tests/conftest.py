@@ -1,12 +1,12 @@
 import pytest
 
-from kummercert.kummer import build_context
+from kummercert.kummer import build_model
 from kummercert.proofscript import build_script, load_shipped_script
 
 
 @pytest.fixture(scope="session")
-def ctx():
-    return build_context()
+def model():
+    return build_model()
 
 
 @pytest.fixture(scope="session")
@@ -15,5 +15,5 @@ def shipped():
 
 
 @pytest.fixture(scope="session")
-def script(ctx):
-    return build_script(ctx)
+def script(model):
+    return build_script(model)

@@ -27,12 +27,10 @@ from kummercert.kummer import (
     build_model,
     build_sigma_h1,
     ell_table_routes,
-    vanishing_certificate,
 )
 from kummercert.ledger import check_script, without_axiom, without_step
 from kummercert.linalg import IntMatrix, exterior_power, kronecker, smith_normal_form
 from kummercert.proofscript import build_script
-from kummercert.kummer import KummerContext, fixed_rank_table
 
 EXPECTED_TABLE = {
     1: JordanType(0, 4, 0),
@@ -47,15 +45,15 @@ def _verdict(number, description, ok):
     assert ok, f"criterion {number} failed: {description}"
 
 
-def test_criterion_1_proposition_reproduction(ctx):
-    matrix_route, closed_route = ell_table_routes(ctx.sigma_h1)
+def test_criterion_1_proposition_reproduction(model):
+    matrix_route, closed_route = ell_table_routes(model.action)
     ok = matrix_route == EXPECTED_TABLE and closed_route == EXPECTED_TABLE
     _verdict(1, "block-count table (0,4,0),(10,0,6),(0,16,8),(19,0,17) by both routes", ok)
 
 
-def test_criterion_2_vanishing_certificate(ctx):
-    pairs = tuple((e.p, e.q) for e in ctx.vanishing)
-    ok = pairs == VANISHING_PAIRS and all(e.group.is_zero for e in ctx.vanishing)
+def test_criterion_2_vanishing_certificate(model):
+    pairs = tuple((e.p, e.q) for e in model.vanishing)
+    ok = pairs == VANISHING_PAIRS and all(e.group.is_zero for e in model.vanishing)
     _verdict(2, "all eight H^p(A3, H^q) with p >= 1, p+q in {3,5} vanish via SNF", ok)
 
 
@@ -111,9 +109,8 @@ def test_criterion_5_closed_form_vs_snf():
             break
         groups = {}
         for degree in (1, 2, 3, 4):
-            parity = "even" if degree % 2 == 0 else "odd"
             groups[degree] = cohomology_snf(action, degree)
-            if groups[degree] != cohomology_closed_form(observed, parity):
+            if groups[degree] != cohomology_closed_form(observed, degree):
                 ok = False
                 break
         if not ok:
@@ -124,8 +121,8 @@ def test_criterion_5_closed_form_vs_snf():
     _verdict(5, "200 random conjugated lattices of rank <= 12, degrees 1-4, plus periodicity", ok)
 
 
-def test_criterion_6_dimension_bookkeeping(ctx):
-    ok = all(ctx.ell[k].dimension == comb(8, k) for k in range(1, 5))
+def test_criterion_6_dimension_bookkeeping(model):
+    ok = all(model.ell[k].dimension == comb(8, k) for k in range(1, 5))
     ok = ok and [comb(8, k) for k in range(1, 5)] == [8, 28, 56, 70]
     _verdict(6, "sum of q * l_q^k equals C(8, k) = 8, 28, 56, 70", ok)
 
@@ -152,7 +149,7 @@ def test_criterion_7_snf_contract_randomized():
     _verdict(7, "u m v = d, unimodularity, divisibility chain on 500 random matrices", ok)
 
 
-def test_criterion_8_mutation_robustness(ctx, script):
+def test_criterion_8_mutation_robustness(model, script):
     ok = True
     for axiom in script.axioms:
         if check_script(without_axiom(script, axiom.id)).passed:
@@ -165,16 +162,7 @@ def test_criterion_8_mutation_robustness(ctx, script):
                 break
     # Swapping the generator for its square must leave criteria 1-3 intact.
     if ok:
-        swapped = ctx.sigma_h1.squared()
-        table = build_model(swapped).ell
-        vanishing = vanishing_certificate(swapped)
-        ok = table == EXPECTED_TABLE and all(e.group.is_zero for e in vanishing)
-        if ok:
-            swapped_ctx = KummerContext(
-                sigma_h1=swapped,
-                ell=table,
-                vanishing=vanishing,
-                fixed_ranks=fixed_rank_table(swapped),
-            )
-            ok = check_script(build_script(swapped_ctx)).passed
+        swapped = build_model(model.action.squared())
+        ok = swapped.ell == EXPECTED_TABLE and all(e.group.is_zero for e in swapped.vanishing)
+        ok = ok and check_script(build_script(swapped)).passed
     _verdict(8, "every single deletion fails; generator swap changes nothing", ok)

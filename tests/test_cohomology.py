@@ -164,19 +164,18 @@ def test_fixed_points():
 
 
 def test_closed_form_examples():
-    assert cohomology_closed_form(JordanType(10, 0, 6), "odd") == FinAbGroup.zero()
-    assert cohomology_closed_form(JordanType(0, 4, 0), "even") == FinAbGroup.zero()
-    assert cohomology_closed_form(JordanType(1, 0, 0), "even") == Z3
-    with pytest.raises(ValueError):
-        cohomology_closed_form(JordanType(1, 0, 0), "sideways")
+    assert cohomology_closed_form(JordanType(10, 0, 6), 1) == FinAbGroup.zero()
+    assert cohomology_closed_form(JordanType(0, 4, 0), 2) == FinAbGroup.zero()
+    assert cohomology_closed_form(JordanType(1, 0, 0), 2) == Z3
+    with pytest.raises(BadDegreeError):
+        cohomology_closed_form(JordanType(1, 0, 0), 0)
 
 
 def test_closed_form_matches_snf_on_indecomposables():
     for action, jtype in ((TRIVIAL, (1, 0, 0)), (ROTATION, (0, 1, 0)), (REGULAR, (0, 0, 1))):
         assert jordan_type_mod3(action) == JordanType(*jtype)
         for degree in (1, 2):
-            parity = "even" if degree % 2 == 0 else "odd"
-            expected = cohomology_closed_form(JordanType(*jtype), parity)
+            expected = cohomology_closed_form(JordanType(*jtype), degree)
             assert cohomology_snf(action, degree) == expected
 
 
@@ -210,8 +209,7 @@ def test_cross_validation_smoke():
         observed = jordan_type_mod3(action)
         assert observed == counts
         for degree in (1, 2, 3, 4):
-            parity = "even" if degree % 2 == 0 else "odd"
-            assert cohomology_snf(action, degree) == cohomology_closed_form(observed, parity)
+            assert cohomology_snf(action, degree) == cohomology_closed_form(observed, degree)
 
 
 def test_mod3_type_from_two_ranks_equals_the_unipotent_profile():
@@ -327,8 +325,7 @@ def test_both_parities_are_computed_once_per_action():
         group, largest = snf_input_dims(cohomology_snf, action, degree)
         assert largest == 0
         fresh = cohomology_snf(LatticeAction(action.matrix), degree)
-        parity = "even" if degree % 2 == 0 else "odd"
-        assert group == fresh == cohomology_closed_form(counts, parity)
+        assert group == fresh == cohomology_closed_form(counts, degree)
     assert first == cohomology_snf(action, 1)
     assert snf_input_dims(fixed_points, action)[1] == 0
 

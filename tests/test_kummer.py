@@ -41,8 +41,8 @@ def test_sigma_has_no_fixed_vectors():
     assert kernel_basis(build_sigma_h1().shifted()).cols == 0
 
 
-def test_ell_table_values(ctx):
-    assert ctx.ell == EXPECTED_TABLE
+def test_ell_table_values(model):
+    assert model.ell == EXPECTED_TABLE
 
 
 def test_ell_table_routes_agree_independently():
@@ -51,14 +51,14 @@ def test_ell_table_routes_agree_independently():
     assert closed_route == EXPECTED_TABLE
 
 
-def test_dimension_bookkeeping(ctx):
-    for k, t in ctx.ell.items():
+def test_dimension_bookkeeping(model):
+    for k, t in model.ell.items():
         assert t.dimension == comb(8, k)
 
 
-def test_vanishing_certificate(ctx):
-    assert tuple((e.p, e.q) for e in ctx.vanishing) == VANISHING_PAIRS
-    assert all(e.group.is_zero for e in ctx.vanishing)
+def test_vanishing_certificate(model):
+    assert tuple((e.p, e.q) for e in model.vanishing) == VANISHING_PAIRS
+    assert all(e.group.is_zero for e in model.vanishing)
 
 
 def test_vanishing_certificate_rejects_bad_action():
@@ -67,28 +67,28 @@ def test_vanishing_certificate_rejects_bad_action():
         vanishing_certificate(LatticeAction(IntMatrix.identity(8)))
 
 
-def test_fixed_ranks(ctx):
+def test_fixed_ranks(model):
     # Eigenvalue count: the 8 eigenvalues are four conjugate pairs of
     # primitive cube roots of unity, so the fixed rank of the degree-q
     # power counts the q-subsets whose product is 1.
-    assert ctx.fixed_ranks == {0: 1, 1: 0, 2: 16, 3: 8, 4: 36, 5: 8}
+    assert model.fixed_ranks == {0: 1, 1: 0, 2: 16, 3: 8, 4: 36, 5: 8}
 
 
-def test_convention_swap_leaves_invariants_unchanged(ctx):
-    swapped = ctx.sigma_h1.squared()
-    assert build_model(swapped).ell == ctx.ell
+def test_convention_swap_leaves_invariants_unchanged(model):
+    swapped = model.action.squared()
+    assert build_model(swapped).ell == model.ell
     assert all(e.group.is_zero for e in vanishing_certificate(swapped))
-    assert fixed_rank_table(swapped) == ctx.fixed_ranks
+    assert fixed_rank_table(swapped) == model.fixed_ranks
 
 
-def test_context_serialization(ctx):
-    blob = json.dumps(ctx.to_json_dict())
+def test_context_serialization(model):
+    blob = json.dumps(model.to_json_dict())
     parsed = json.loads(blob)
     assert parsed["ell_table"]["4"] == {"l1": 19, "l2": 0, "l3": 17}
     assert len(parsed["vanishing"]) == 8
     assert parsed["fixed_ranks"]["0"] == 1
-    assert len(ctx.content_tag()) == 16
-    assert ctx.content_tag() == ctx.content_tag()
+    assert len(model.content_tag()) == 16
+    assert model.content_tag() == model.content_tag()
 
 
 def test_coefficient_action_degree_zero_is_trivial():
@@ -98,11 +98,11 @@ def test_coefficient_action_degree_zero_is_trivial():
 
 def test_model_sanity_check_is_an_explicit_invariant():
     # The trivial action has the wrong mod-3 type and fixed vectors; the
-    # context refuses it without relying on assert.
+    # model refuses to serialize it without relying on assert.
     model = KummerModel(LatticeAction(IntMatrix.identity(8)))
     assert not model.is_expected_model
     with pytest.raises(InvariantError):
-        model.context()
+        model.to_json_dict()
 
 
 def test_model_keeps_its_tower_and_invariants():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from kummercert.kummer import CertificateFailure
+from kummercert.cohomology import LatticeAction
+from kummercert.kummer import CertificateFailure, KummerModel
 from kummercert.ledger import (
     Axiom,
     Claim,
@@ -29,7 +30,7 @@ from kummercert.ledger import (
     without_axiom,
     without_step,
 )
-from kummercert.linalg import FinAbGroup
+from kummercert.linalg import FinAbGroup, IntMatrix
 from kummercert.proofscript import load_shipped_script
 
 SPACES = {"X": None, "Y": None, "Z": None, "(X,Y)": ("X", "Y")}
@@ -415,18 +416,18 @@ def test_script_roundtrip(shipped):
 # ------------------------------------------------------ computation axioms
 
 
-def test_leaf_facts_structure(ctx):
-    axioms = leaf_facts_from_computation(ctx)
+def test_leaf_facts_structure(model):
+    axioms = leaf_facts_from_computation(model)
     assert len(axioms) == 10
     ids = [a.id for a in axioms]
     assert "cv_p1_q4" in ids and "cfix_q5" in ids
     assert all(a.computation for a in axioms)
-    tag = ctx.content_tag()
+    tag = model.content_tag()
     assert all(tag in a.cite for a in axioms)
 
 
-def test_leaf_facts_refuse_tampered_context(ctx):
-    bad_entry = ctx.vanishing[3].replace(group=FinAbGroup(0, (3,)))
-    tampered = ctx.replace(vanishing=ctx.vanishing[:3] + (bad_entry,) + ctx.vanishing[4:])
-    with pytest.raises(CertificateFailure):
-        leaf_facts_from_computation(tampered)
+def test_leaf_facts_refuse_tampered_context():
+    # The trivial action on Z^8 has non-zero even-degree cohomology.
+    trivial = KummerModel(LatticeAction(IntMatrix.identity(8)))
+    with pytest.raises(CertificateFailure, match="refusing to emit facts"):
+        leaf_facts_from_computation(trivial)
