@@ -26,3 +26,6 @@ def test_traced_workload_runs_its_first_operation(name):
     finally:
         tracer.uninstall()
     assert sum(tracer.calls.values()) > 0
+    if name in ("ledger", "certify"):
+        # The facts a replay adds are counted at FactStore.add, so they must pass through it.
+        assert tracer.totals["ledger.facts_added"] > 0

@@ -355,6 +355,9 @@ MALFORMED_SCRIPTS = {
     "unknown fact key": lambda d: d["goals"][0].update(note="x"),
     "unknown subject key": lambda d: d["goals"][0]["subject"].update(dim=8),
     "claim key of another kind": lambda d: d["goals"][0]["claim"].update(rank=0),
+    # Every group prints under its own name: H^k of each of these would print as H^k(pt) or H^k(A).
+    "plain space named like a pair": lambda d: d["spaces"].append({"name": "(pt)"}),
+    "pair named like a space": lambda d: d["spaces"].append({"name": "(A)", "pair": ["U", "V"]}),
 }
 
 

@@ -1,9 +1,13 @@
 import hashlib
 import importlib.resources
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kummercert import ledger, linalg
 from kummercert.cohomology import LatticeAction
 from kummercert.kummer import CertificateFailure, KummerModel
 from kummercert.ledger import (
@@ -121,6 +125,169 @@ def test_undeclared_space_is_rejected():
     store = FactStore(SPACES)
     with pytest.raises(ParameterMismatchError):
         store.add(Fact(ref("Nowhere", 1), Claim.is_zero()), ("axiom", "a"))
+
+
+# ------------------------------------------------- the reference closure
+#
+# The closure before each claim carried its place in the lattice: every fact
+# recomputes its exact group, its torsion bound and its implications.  Kept
+# verbatim as the oracle that FactStore must equal, order and provenance too.
+
+_TORSION_LEVEL = ("torsion_free", "only_primes")
+
+
+def _exact_group(claim: Claim) -> FinAbGroup | None:
+    if claim.kind == "is_zero":
+        return FinAbGroup.zero()
+    if claim.kind == "iso_to":
+        return claim.group
+    return None
+
+
+def _torsion_bound(claim: Claim) -> frozenset[int] | None:
+    """Upper bound on the torsion primes implied by the claim, if any."""
+    if claim.kind in ("is_zero", "torsion_free"):
+        return frozenset()
+    if claim.kind == "only_primes":
+        return claim.primes
+    if claim.kind == "iso_to":
+        return claim.group.torsion_primes()
+    return None
+
+
+class ReferenceStore(FactStore):
+    def _check_consistent(self, fact: Fact) -> None:
+        new_exact = _exact_group(fact.claim)
+        new_bound = (
+            _torsion_bound(fact.claim) if fact.claim.kind in _TORSION_LEVEL else None
+        )
+        for old in self._about.get(fact.subject, ()):
+            old_exact = _exact_group(old.claim)
+            if new_exact is not None and old_exact is not None and new_exact != old_exact:
+                raise InconsistentFactError(
+                    f"{fact.subject.render()} cannot be both {old_exact} and {new_exact}"
+                )
+            if new_exact is not None and old.claim.kind in _TORSION_LEVEL:
+                bound = _torsion_bound(old.claim)
+                if not new_exact.torsion_primes() <= bound:
+                    raise InconsistentFactError(
+                        f"{fact.render()} contradicts established {old.render()}"
+                    )
+            if new_bound is not None and old_exact is not None:
+                if not old_exact.torsion_primes() <= new_bound:
+                    raise InconsistentFactError(
+                        f"{fact.render()} contradicts established {old.render()}"
+                    )
+
+    def add(self, fact: Fact, source: tuple) -> list[Fact]:
+        """Insert a fact (idempotent) and its closure, depth first; return what was new."""
+        added: list[Fact] = []
+        stack = [(fact, source)]
+        while stack:
+            fact, source = stack.pop()
+            if fact in self._facts:
+                continue
+            self._validate_ref(fact.subject)
+            if fact.claim.other is not None:
+                self._validate_ref(fact.claim.other)
+            self._check_consistent(fact)
+            self._facts[fact] = source
+            for ref in (fact.subject, fact.claim.other):  # other: a relation's second group
+                if ref is not None:
+                    self._about.setdefault(ref, []).append(fact)
+            added.append(fact)
+            # Reversed, so that the implications pop in the order listed.
+            stack.extend((f, ("closure", tuple(p))) for f, p in reversed(self._implications(fact)))
+        return added
+
+    def _implications(self, fact: Fact) -> list[tuple[Fact, list[Fact]]]:
+        out: list[tuple[Fact, list[Fact]]] = []
+        subject, claim = fact.subject, fact.claim
+        if claim.kind == "is_zero":
+            out.append((Fact(subject, Claim.torsion_free()), [fact]))
+        elif claim.kind == "iso_to":
+            out.append((Fact(subject, Claim.only_primes(claim.group.torsion_primes())), [fact]))
+            if claim.group.is_torsion_free:
+                out.append((Fact(subject, Claim.torsion_free()), [fact]))
+            if claim.group.is_zero:
+                out.append((Fact(subject, Claim.is_zero()), [fact]))
+        elif claim.kind == "torsion_free":
+            out.append((Fact(subject, Claim.only_primes(())), [fact]))
+        if claim.kind in _TORSION_LEVEL:
+            if claim.kind == "only_primes" and not claim.primes:
+                out.append((Fact(subject, Claim.torsion_free()), [fact]))
+            for rel in self._about.get(subject, ()):
+                rclaim = rel.claim
+                if rclaim.kind == "torsion_equals":
+                    peer = rclaim.other if rel.subject == subject else rel.subject
+                    out.append((Fact(peer, claim), [fact, rel]))
+                elif rclaim.kind == "torsion_injects_into" and rclaim.other == subject:
+                    out.append((Fact(rel.subject, claim), [fact, rel]))
+        elif claim.kind == "torsion_equals":
+            for side, peer in ((subject, claim.other), (claim.other, subject)):
+                for old in self._about.get(side, ()):
+                    if old.claim.kind in _TORSION_LEVEL:
+                        out.append((Fact(peer, old.claim), [old, fact]))
+        elif claim.kind == "torsion_injects_into":
+            for old in self._about.get(claim.other, ()):
+                if old.claim.kind in _TORSION_LEVEL:
+                    out.append((Fact(subject, old.claim), [old, fact]))
+        return out
+
+
+BIG_PRIME = 16777213  # the largest prime below FACTOR_BOUND = 2^24
+GROUPS = st.builds(ref, st.sampled_from(sorted(SPACES)), st.integers(0, 3))
+CHAINS = st.sampled_from([(), (2,), (4,), (2, 4), (3,), (9,), (3, 9), (BIG_PRIME,)])
+CLAIMS = st.one_of(
+    st.sampled_from([Claim.is_zero(), Claim.torsion_free()]),
+    st.sets(st.sampled_from([2, 3, 5, BIG_PRIME])).map(Claim.only_primes),
+    st.builds(FinAbGroup, st.integers(0, 2), CHAINS).map(Claim.iso_to),
+    GROUPS.map(Claim.torsion_equals),  # the subject itself too: self-relations
+    GROUPS.map(Claim.torsion_injects_into),
+)
+FACTS = st.builds(Fact, GROUPS, CLAIMS)
+
+
+def commit_outcome(store, facts, source):
+    """What ``_commit`` returns, or the class and message of what it raises."""
+    try:
+        return _commit(store, facts, source)
+    except InconsistentFactError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FACTS, min_size=1, max_size=40), st.lists(st.integers(1, 6), min_size=1))
+def test_closure_equals_the_reference(facts, batch_sizes):
+    store, reference = FactStore(SPACES), ReferenceStore(SPACES)
+    start, sizes = 0, itertools.cycle(batch_sizes)
+    while start < len(facts):
+        batch = facts[start:start + next(sizes)]
+        source = ("axiom", f"b{start}")
+        assert commit_outcome(store, batch, source) == commit_outcome(reference, batch, source)
+        assert list(store._facts.items()) == list(reference._facts.items())
+        assert list(store._about.items()) == list(reference._about.items())
+        start += len(batch)
+
+
+def test_factoring_is_bounded_per_claim(monkeypatch):
+    # One exact group and n bounds on it: each claim's primes are found once,
+    # not once for every fact compared with it.
+    factor = linalg.prime_factors
+    calls = []
+    monkeypatch.setattr(linalg, "prime_factors", lambda m: calls.append(m) or factor(m))
+    counts = []
+    for n in (200, 2000):
+        monkeypatch.setattr(ledger, "_INTERNED", {})  # so that no claim is built yet
+        calls.clear()
+        group = ref("X", 1)
+        facts = [Fact(group, Claim.iso_to(FinAbGroup(0, (BIG_PRIME,))))]
+        facts += [Fact(group, Claim.only_primes({BIG_PRIME, p})) for p in range(2, n + 2)]
+        axiom = Axiom(id="a", cite="test", facts=tuple(facts))
+        report = check_script(Script(SCRIPT_FORMAT, {"X": None}, (axiom,), (), ()))
+        assert report.passed and report.fact_count == n + 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # -------------------------------------------------------------------- rules
