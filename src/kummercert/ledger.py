@@ -28,12 +28,18 @@ Each ``Claim`` works out its place in the lattice once, when it is first
 built; ``FactStore.add`` reads it and adds the transport along relations.
 
 Script files are JSON with sections ``spaces``, ``axioms``, ``steps`` and
-``goals``; ``read_script`` reads their text.  A ``ScriptFormatError`` is
-any text that is not a script: not UTF-8 JSON, an integer literal too long
-for the interpreter to convert, ``NaN`` or ``Infinity``, a duplicate key, a
-key its section does not define, or a missing key or a value of the wrong
-type (a degree that is not a JSON integer, say).  Reports have JSON and
-plain-text forms and are deterministic: checking the same script twice
+``goals``; ``read_script`` reads their text.  Each kind of JSON object in a
+script (the script itself, a space, an axiom, a step, a fact and each kind
+of claim) has one table of its keys, each with its reader and its default.
+One reader, ``_keys``, reads every such object through its table, and a
+step's parameters through the table its rule gives when the step is
+replayed; ``script_to_json_dict`` writes through the same tables.  A
+``ScriptFormatError`` is any text that is not a script: not UTF-8 JSON, an
+integer literal too long for the interpreter to convert, ``NaN`` or
+``Infinity``, a duplicate key, a key its table does not list, a missing key
+or a value of the wrong type (a degree that is not a JSON integer, say), or
+a group of a space not declared or of a negative degree.  Reports have JSON
+and plain-text forms and are deterministic: checking the same script twice
 yields byte-identical output.
 
 ``GroupRef``, ``Claim`` and ``Fact`` are hash-consed (Filliatre and Conchon,
@@ -145,17 +151,6 @@ class GroupRef(Value):
         return {"space": self.space, "degree": self.degree}
 
 
-# Each claim kind with the keys its JSON form carries.
-_CLAIM_KEYS = {
-    "is_zero": ("kind",),
-    "torsion_free": ("kind",),
-    "only_primes": ("kind", "primes"),
-    "iso_to": ("kind", "rank", "torsion"),
-    "torsion_equals": ("kind", "other"),
-    "torsion_injects_into": ("kind", "other"),
-}
-
-
 class Claim(Value):
     """A claim about one group, with its place in the lattice of implications.
 
@@ -235,16 +230,9 @@ class Claim(Value):
             return f"tors-equals({self.other.render()})"
         return f"tors-injects({self.other.render()})"
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "only_primes":
-            out["primes"] = sorted(self.primes)
-        elif self.kind == "iso_to":
-            out["rank"] = self.group.rank
-            out["torsion"] = list(self.group.torsion)
-        elif self.kind in ("torsion_equals", "torsion_injects_into"):
-            out["other"] = self.other.to_json_dict()
-        return out
+    # An iso_to claim's group, as its JSON form gives it.
+    rank = property(lambda self: self.group.rank)
+    torsion = property(lambda self: self.group.torsion)
 
 
 class Fact(Value):
@@ -263,12 +251,17 @@ class Fact(Value):
             _set(self, "_text", text)
         return text
 
-    def to_json_dict(self) -> dict:
-        return {"subject": self.subject.to_json_dict(), "claim": self.claim.to_json_dict()}
-
 
 # --------------------------------------------------------------------------
 # the fact store
+
+
+def _check_ref(ref: GroupRef, spaces: dict, error) -> None:
+    """Raise ``error`` unless ``ref`` names a declared space in a degree >= 0."""
+    if ref.space not in spaces:
+        raise error(f"space {ref.space!r} is not declared")
+    if ref.degree < 0:
+        raise error(f"negative degree in {ref.render()}")
 
 
 class FactStore:
@@ -313,10 +306,7 @@ class FactStore:
         return self._facts[fact]
 
     def _validate_ref(self, ref: GroupRef) -> None:
-        if ref.space not in self.spaces:
-            raise ParameterMismatchError(f"space {ref.space!r} is not declared")
-        if ref.degree < 0:
-            raise ParameterMismatchError(f"negative degree in {ref.render()}")
+        _check_ref(ref, self.spaces, ParameterMismatchError)
 
     def _check_consistent(self, fact: Fact) -> None:
         claim = fact.claim
@@ -418,18 +408,12 @@ class Script(Value):
 
 
 # --------------------------------------------------------------------------
-# reading a script
+# reading and writing a script
 #
-# A reader returns a JSON value as what it stands for, or None if the value
-# has the wrong type.  They read a script's sections and a step's parameters.
-
-
-def _typed(kind: type):
-    # Exact types: "3", 3.0 and true would pass an int() coercion.
-    return lambda value: value if type(value) is kind else None
-
-
-_name, _integer, _flag, _list, _object = map(_typed, (str, int, bool, list, dict))
+# A table maps each key an object may carry to its reader and its default
+# (``...`` for a key it must carry).  A reader is an exact JSON type ("3", 3.0
+# and true would pass an int() coercion) or returns what its value stands for,
+# None if the value is malformed.
 
 
 def _integers(value):
@@ -444,62 +428,88 @@ def _ref(value):
             return GroupRef(space, degree)
 
 
-_READERS = {_name: "a string", _integer: "an integer", _integers: "a list of integers",
-            _ref: "a group ref", _flag: "a boolean", _list: "a list", _object: "a JSON object"}
+_READERS = {str: "a string", int: "an integer", _integers: "a list of integers",
+            _ref: "a group ref", bool: "a boolean", list: "a list", dict: "a JSON object"}
 
 
-def _get(value, reader, what: str):
-    """``value`` as ``reader`` reads it; a missing or mistyped value is a ScriptFormatError."""
-    out = reader(value)
-    if out is None:
-        # None is a missing key or a JSON null; reprlib bounds any other value.
-        got = "no value" if value is None else reprlib.repr(value)
-        raise ScriptFormatError(f"{what} must be {_READERS[reader]}, got {got}")
-    return out
+def _keys(obj, what: str, spec: dict, error=ScriptFormatError, noun: str = "key") -> list:
+    """The values of the JSON object ``obj`` under the keys of ``spec``, in its order.
+
+    ``obj`` may carry no other key, and a key it leaves out takes its default;
+    anything else raises ``error``, naming ``what`` and the ``noun`` for a key.
+    """
+    if type(obj) is not dict:
+        raise error(f"{what} must be a JSON object, got {reprlib.repr(obj)}")
+    for key in obj:
+        if key not in spec:
+            raise error(f"{what}: unknown {noun} {key!r}")
+    values = []
+    for key, (reader, default) in spec.items():
+        if key not in obj:
+            if default is ...:
+                raise error(f"{what}: missing {noun} {key!r}")
+            values.append(default)
+            continue
+        value = obj[key]
+        if type(value) is not reader:
+            value = None if type(reader) is type else reader(value)
+            if value is None:
+                raise error(f"{what}: {noun} {key!r} must be {_READERS[reader]}")
+        values.append(value)
+    return values
 
 
-def _section(value, what: str, keys: tuple) -> dict:
-    """``value`` as a JSON object with no keys but ``keys``."""
-    d = _get(value, _object, what)
-    for key in d:
-        if key not in keys:
-            raise ScriptFormatError(f"{what}: unknown key {key!r}")
-    return d
+def _iso_to(rank: int, torsion: list) -> Claim:
+    if any(x >= FACTOR_BOUND for x in torsion):
+        raise ScriptFormatError(f"iso_to claim: invariant factors must be below {FACTOR_BOUND}")
+    try:
+        return Claim.iso_to(FinAbGroup(rank, tuple(torsion)))
+    except ValueError as exc:  # a negative rank, or no chain of divisors
+        raise ScriptFormatError(f"iso_to claim: {exc}") from None
 
 
-def _claim(value) -> Claim:
-    d = _get(value, _object, "claim")
-    kind = _get(d.get("kind"), _name, "claim kind")
-    keys = _CLAIM_KEYS.get(kind)
-    if keys is None:
-        raise ScriptFormatError(f"unknown claim kind {kind!r}")
-    for key in d:
-        if key not in keys:
-            raise ScriptFormatError(f"{kind} claim: unknown key {key!r}")
-    if kind == "only_primes":
-        return Claim.only_primes(_get(d.get("primes"), _integers, "primes"))
-    if kind == "iso_to":
-        torsion = tuple(_get(d.get("torsion"), _integers, "torsion"))
-        if any(x >= FACTOR_BOUND for x in torsion):
-            raise ScriptFormatError(f"invariant factors must be below {FACTOR_BOUND}")
-        try:
-            return Claim.iso_to(FinAbGroup(_get(d.get("rank"), _integer, "rank"), torsion))
-        except ValueError as exc:  # a negative rank, or no chain of divisors
-            raise ScriptFormatError(f"iso_to claim: {exc}") from None
-    if kind in ("is_zero", "torsion_free"):
-        return Claim(kind)
-    return Claim(kind, other=_get(d.get("other"), _ref, "other group"))
+_SCRIPT = {"format": (str, ...), "spaces": (list, []), "axioms": (list, []),
+           "steps": (list, []), "goals": (list, [])}
+_SPACE = {"name": (str, ...), "pair": (list, None)}
+_AXIOM = {"id": (str, ...), "cite": (str, ""), "facts": (list, ...), "computation": (bool, False)}
+_STEP = {"id": (str, ...), "rule": (str, ...), "cite": (str, ""), "params": (dict, {}),
+         "inputs": (list, [])}
+_FACT = {"subject": (_ref, ...), "claim": (dict, ...)}
+_KIND = {"kind": (str, ...)}
+# Each claim kind's table, and what builds the claim from its values after the kind.
+_CLAIMS = {
+    "is_zero": (_KIND, Claim.is_zero),
+    "torsion_free": (_KIND, Claim.torsion_free),
+    "only_primes": ({**_KIND, "primes": (_integers, ...)}, Claim.only_primes),
+    "iso_to": ({**_KIND, "rank": (int, ...), "torsion": (_integers, ...)}, _iso_to),
+    "torsion_equals": ({**_KIND, "other": (_ref, ...)}, Claim.torsion_equals),
+    "torsion_injects_into": ({**_KIND, "other": (_ref, ...)}, Claim.torsion_injects_into),
+}
+_TABLES = {Script: _SCRIPT, Axiom: _AXIOM, Step: _STEP, Fact: _FACT}
 
 
 def _fact(value, spaces: dict) -> Fact:
-    d = _section(value, "fact", ("subject", "claim"))
-    fact = Fact(_get(d.get("subject"), _ref, "subject"), _claim(d.get("claim")))
-    for ref in (fact.subject, fact.claim.other):
-        if ref is not None and ref.space not in spaces:
-            raise ScriptFormatError(f"undeclared space {ref.space!r}")
-    if fact.subject.degree < 0:
-        raise ScriptFormatError(f"negative degree in {fact.subject.render()}")
-    return fact
+    subject, claim = _keys(value, "fact", _FACT)
+    kind = claim.get("kind")
+    if type(kind) is not str or kind not in _CLAIMS:
+        raise ScriptFormatError(f"claim: unknown kind {reprlib.repr(kind)}")
+    spec, build = _CLAIMS[kind]
+    claim = build(*_keys(claim, kind, spec)[1:])
+    _check_ref(subject, spaces, ScriptFormatError)
+    if claim.other is not None:
+        _check_ref(claim.other, spaces, ScriptFormatError)
+    return Fact(subject, claim)
+
+
+def _named(values: list, what: str, spec: dict) -> dict:
+    """Each object in ``values`` read by ``spec``, by its first value, which no two may share."""
+    out = {}
+    for value in values:
+        name, *rest = _keys(value, what, spec)
+        if name in out:
+            raise ScriptFormatError(f"{what}: duplicate {next(iter(spec))} {name!r}")
+        out[name] = rest
+    return out
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -530,90 +540,57 @@ def read_script(text: str | bytes) -> Script:
 
 def parse_script(document) -> Script:
     """The script in a decoded JSON document; raises ScriptFormatError if it is malformed."""
-    d = _get(document, _object, "script")
-    if d.get("format") != SCRIPT_FORMAT:
-        raise ScriptFormatError(f"unsupported script format {reprlib.repr(d.get('format'))}")
-    _section(d, "script", ("format", "spaces", "axioms", "steps", "goals"))
-    spaces: dict[str, tuple[str, str] | None] = {}
-    for s in _get(d.get("spaces", []), _list, "spaces"):
-        s = _section(s, "space", ("name", "pair"))
-        name = _get(s.get("name"), _name, "space name")
-        if name in spaces:
-            raise ScriptFormatError(f"duplicate space name {name!r}")
-        pair = None
-        if "pair" in s:
-            pair = tuple([_get(m, _name, "pair member") for m in _get(s["pair"], _list, "pair")])
-            if len(pair) != 2:
-                raise ScriptFormatError(f"pair space {name!r} must name two spaces")
-        spaces[name] = pair
-    for name, pair in spaces.items():
+    version, spaces, axioms, steps, goals = _keys(document, "script", _SCRIPT)
+    if version != SCRIPT_FORMAT:
+        raise ScriptFormatError(f"unsupported script format {reprlib.repr(version)}")
+    declared: dict[str, tuple[str, str] | None] = {}
+    for name, (pair,) in _named(spaces, "space", _SPACE).items():
+        if pair is not None and (len(pair) != 2 or any(type(m) is not str for m in pair)):
+            raise ScriptFormatError(f"space {name!r}: pair must name two spaces")
+        declared[name] = None if pair is None else tuple(pair)
+    for name, pair in declared.items():
         # So that no two groups print alike: H^k of "A" and of "(A)" both print as H^k(A).
         if pair is None and name.startswith("("):
             raise ScriptFormatError(f"plain space {name!r} must not start with '('")
-        if pair is not None and name[:1] + name[-1:] == "()" and name[1:-1] in spaces:
+        if pair is not None and name[:1] + name[-1:] == "()" and name[1:-1] in declared:
             raise ScriptFormatError(f"pair {name!r} prints like space {name[1:-1]!r}")
         for member in pair or ():
-            if spaces.get(member, ()) is not None:  # undeclared, or a pair itself
+            if declared.get(member, ()) is not None:  # undeclared, or a pair itself
                 raise ScriptFormatError(f"pair {name!r} refers to {member!r}, not a plain space")
-    axioms: dict[str, Axiom] = {}
-    for a in _get(d.get("axioms", []), _list, "axioms"):
-        a = _section(a, "axiom", ("id", "cite", "facts", "computation"))
-        aid = _get(a.get("id"), _name, "axiom id")
-        if aid in axioms:
-            raise ScriptFormatError(f"duplicate axiom id {aid!r}")
-        axioms[aid] = Axiom(
-            id=aid,
-            cite=_get(a.get("cite", ""), _name, "axiom cite"),
-            facts=tuple([_fact(f, spaces) for f in _get(a.get("facts"), _list, "axiom facts")]),
-            computation=_get(a.get("computation", False), _flag, f"axiom {aid}: computation"),
-        )
-    steps: dict[str, Step] = {}
-    for s in _get(d.get("steps", []), _list, "steps"):
-        s = _section(s, "step", ("id", "rule", "cite", "params", "inputs"))
-        sid = _get(s.get("id"), _name, "step id")
-        if sid in steps:
-            raise ScriptFormatError(f"duplicate step id {sid!r}")
-        steps[sid] = Step(
-            id=sid,
-            rule=_get(s.get("rule"), _name, "rule"),
-            cite=_get(s.get("cite", ""), _name, "step cite"),
-            params=dict(_get(s.get("params", {}), _object, f"step {sid}: params")),
-            inputs=tuple(
-                [_fact(f, spaces) for f in _get(s.get("inputs", []), _list, "step inputs")]
-            ),
-        )
-    goals = tuple([_fact(f, spaces) for f in _get(d.get("goals", []), _list, "goals")])
-    return Script(SCRIPT_FORMAT, spaces, tuple(axioms.values()), tuple(steps.values()), goals)
+    axioms = [
+        Axiom(aid, cite, tuple([_fact(f, declared) for f in facts]), computation)
+        for aid, (cite, facts, computation) in _named(axioms, "axiom", _AXIOM).items()
+    ]
+    steps = [
+        Step(sid, rule, cite, dict(params), tuple([_fact(f, declared) for f in inputs]))
+        for sid, (rule, cite, params, inputs) in _named(steps, "step", _STEP).items()
+    ]
+    goals = tuple([_fact(f, declared) for f in goals])
+    return Script(SCRIPT_FORMAT, declared, tuple(axioms), tuple(steps), goals)
+
+
+def _json(value):
+    """``value`` as JSON: a script object as its table lists it, leaving out None and False."""
+    if type(value) is GroupRef:
+        return value.to_json_dict()
+    if isinstance(value, Value):
+        spec = _CLAIMS[value.kind][0] if type(value) is Claim else _TABLES[type(value)]
+        return _write(spec, [getattr(value, key) for key in spec])
+    if type(value) is tuple:
+        return [_json(v) for v in value]
+    if type(value) is frozenset:
+        return sorted(value)
+    return value
+
+
+def _write(spec: dict, values: list) -> dict:
+    return {key: _json(v) for key, v in zip(spec, values) if v is not None and v is not False}
 
 
 def script_to_json_dict(script: Script) -> dict:
-    spaces = [
-        {"name": name} if pair is None else {"name": name, "pair": list(pair)}
-        for name, pair in script.spaces.items()
-    ]
-    axioms = []
-    for a in script.axioms:
-        entry = {"id": a.id, "cite": a.cite, "facts": [f.to_json_dict() for f in a.facts]}
-        if a.computation:
-            entry["computation"] = True
-        axioms.append(entry)
-    steps = [
-        {
-            "id": s.id,
-            "rule": s.rule,
-            "cite": s.cite,
-            "params": s.params,
-            "inputs": [f.to_json_dict() for f in s.inputs],
-        }
-        for s in script.steps
-    ]
-    return {
-        "format": script.format,
-        "spaces": spaces,
-        "axioms": axioms,
-        "steps": steps,
-        "goals": [f.to_json_dict() for f in script.goals],
-    }
+    """``script`` as the JSON document that ``parse_script`` reads back."""
+    spaces = [_write(_SPACE, item) for item in script.spaces.items()]  # each (name, pair)
+    return _json(script) | {"spaces": spaces}
 
 
 def without_axiom(script: Script, axiom_id: str) -> Script:
@@ -638,20 +615,8 @@ def without_step(script: Script, step_id: str) -> Script:
 
 def _read(step: Step, **readers) -> list:
     """The step's parameters named by ``readers``, read in that order; it may have no others."""
-    for key in step.params:
-        if key not in readers:
-            raise ParameterMismatchError(f"step {step.id}: unknown parameter {key!r}")
-    values = []
-    for key, reader in readers.items():
-        if key not in step.params:
-            raise ParameterMismatchError(f"step {step.id}: missing parameter {key!r}")
-        value = reader(step.params[key])
-        if value is None:
-            raise ParameterMismatchError(
-                f"step {step.id}: parameter {key!r} must be {_READERS[reader]}"
-            )
-        values.append(value)
-    return values
+    spec = {key: (reader, ...) for key, reader in readers.items()}
+    return _keys(step.params, f"step {step.id}", spec, ParameterMismatchError, "parameter")
 
 
 def _about(step: Step, ref: GroupRef) -> tuple[Fact, frozenset[int]]:
@@ -673,7 +638,7 @@ def _about(step: Step, ref: GroupRef) -> tuple[Fact, frozenset[int]]:
 def _rule_thom_iso(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # H^k(pair) = (copies) disjoint summands of H^(k - codim)(center).
     pair, center, copies, codim, degrees = _read(
-        step, pair=_name, center=_name, copies=_integer, codim=_integer, degrees=_integers
+        step, pair=str, center=str, copies=int, codim=int, degrees=_integers
     )
     if copies < 1 or codim < 1:
         raise ParameterMismatchError(f"step {step.id}: copies and codim must be positive")
@@ -735,7 +700,7 @@ def _rule_transfer_cover(step: Step, spaces: dict) -> tuple[list[Fact], list[Fac
     # Degree-d covering total -> base: restriction followed by transfer is
     # multiplication by d, so base torsion away from d injects into the
     # total space's torsion.
-    d, total, base, k = _read(step, cover_degree=_integer, total=_name, base=_name, k=_integer)
+    d, total, base, k = _read(step, cover_degree=int, total=str, base=str, k=int)
     if d < 2:
         raise ParameterMismatchError(f"step {step.id}: cover degree must be >= 2")
     if d >= FACTOR_BOUND:
@@ -750,7 +715,7 @@ def _rule_blowup_split(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]
     # splits off shifted copies of the center, so torsion primes of the
     # blow-up are bounded by those of the base and the shifted center.
     blowup, base, center, codim, degrees = _read(
-        step, blowup=_name, base=_name, center=_name, codim=_integer, degrees=_integers
+        step, blowup=str, base=str, center=str, codim=int, degrees=_integers
     )
     if codim < 1:
         raise ParameterMismatchError(f"step {step.id}: codim must be positive")
@@ -770,7 +735,7 @@ def _rule_blowup_split(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]
 def _rule_duality_uct(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
     # On a closed oriented n-manifold, Poincare duality plus universal
     # coefficients give tors H^(j+1) = tors H_j = tors H^(n-j).
-    manifold, n, j = _read(step, manifold=_name, dim=_integer, homology_degree=_integer)
+    manifold, n, j = _read(step, manifold=str, dim=int, homology_degree=int)
     if not 0 <= j < n:
         raise ParameterMismatchError(f"step {step.id}: homology degree out of range")
     return [], [Fact(GroupRef(manifold, j + 1), Claim.torsion_equals(GroupRef(manifold, n - j)))]
@@ -781,7 +746,7 @@ def _rule_spectral_vanishing(step: Step, spaces: dict) -> tuple[list[Fact], list
     # p >= 1 vanishes, H^k of the quotient is the invariant edge term,
     # which is torsion free whenever the fixed part is.
     quotient, group, coefficient, k = _read(
-        step, quotient=_name, group=_name, coefficient=_name, k=_integer
+        step, quotient=str, group=str, coefficient=str, k=int
     )
     if k < 1:
         raise ParameterMismatchError(f"step {step.id}: total degree must be >= 1")
@@ -801,7 +766,7 @@ def _rule_complement_iso(step: Step, spaces: dict) -> tuple[list[Fact], list[Fac
     # Removing a finite point set from a closed n-manifold leaves H^k
     # unchanged for k <= n - 2.
     manifold, complement, n, _, degrees = _read(
-        step, manifold=_name, complement=_name, dim=_integer, removed_points=_integer,
+        step, manifold=str, complement=str, dim=int, removed_points=int,
         degrees=_integers,
     )
     for k in degrees:

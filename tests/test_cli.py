@@ -358,6 +358,21 @@ MALFORMED_SCRIPTS = {
     # Every group prints under its own name: H^k of each of these would print as H^k(pt) or H^k(A).
     "plain space named like a pair": lambda d: d["spaces"].append({"name": "(pt)"}),
     "pair named like a space": lambda d: d["spaces"].append({"name": "(A)", "pair": ["U", "V"]}),
+    # A relation's other group is checked like its subject: declared, in a degree >= 0.
+    "negative other degree in an axiom": lambda d: d["axioms"][0]["facts"].append(
+        {"subject": {"space": "pt", "degree": 1},
+         "claim": {"kind": "torsion_equals", "other": {"space": "pt", "degree": -1}}}
+    ),
+    "negative other degree in a goal": lambda d: d["goals"].append(
+        {"subject": {"space": "pt", "degree": 1},
+         "claim": {"kind": "torsion_injects_into", "other": {"space": "pt", "degree": -1}}}
+    ),
+    "unknown claim kind": lambda d: d["goals"][0]["claim"].update(kind="is_small"),
+    "claim kind a number": lambda d: d["goals"][0]["claim"].update(kind=3),
+    "pair member a number": lambda d: next(s for s in d["spaces"] if "pair" in s).update(
+        pair=[5, "U"]
+    ),
+    "goals an object": lambda d: d.update(goals={"subject": {"space": "pt", "degree": 0}}),
 }
 
 

@@ -21,6 +21,20 @@ def test_readme_lists_exactly_the_ledger_rules():
     assert re.findall(r"`(\w+)`", listed) == sorted(ledger._RULES)
 
 
+def test_readme_names_every_key_of_every_section_table():
+    # A table maps each key of one kind of JSON object to its (reader, default).
+    tables = [spec for spec, _ in ledger._CLAIMS.values()]
+    tables += [
+        value for value in vars(ledger).values()
+        if type(value) is dict and value and all(
+            type(row) is tuple and len(row) == 2 and callable(row[0]) for row in value.values()
+        )
+    ]
+    assert ledger._SCRIPT in tables and ledger._SPACE in tables
+    keys = {key for table in tables for key in table}
+    assert sorted(key for key in keys if f"`{key}`" not in README) == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"kummercert.{name}")

@@ -35,7 +35,7 @@ from kummercert.ledger import (
     without_step,
 )
 from kummercert.linalg import FinAbGroup, IntMatrix
-from kummercert.proofscript import load_shipped_script
+from kummercert.proofscript import load_shipped_script, shipped_script_text
 
 SPACES = {"X": None, "Y": None, "Z": None, "(X,Y)": ("X", "Y")}
 
@@ -573,6 +573,11 @@ def test_parse_rejects_duplicate_ids(shipped):
     d["axioms"].append(dict(d["axioms"][0]))
     with pytest.raises(ScriptFormatError):
         parse_script(d)
+
+
+def test_the_writer_gives_back_the_shipped_bytes(shipped):
+    # The ledger benchmark writes its inputs with script_to_json_dict, so this keeps them fixed.
+    assert json.dumps(script_to_json_dict(shipped), indent=2) + "\n" == shipped_script_text()
 
 
 def test_script_roundtrip(shipped):
