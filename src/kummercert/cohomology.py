@@ -15,9 +15,14 @@ ranks add up to n, as Q^n = ker(s - 1) + ker(N) (checked, not assumed).
 An action works on sparse rows, the non-zero entries of each row, as the
 exterior powers it acts on are sparse: the wedge squares of scrambled
 lattices of rank up to 12 have a median of one entry in eleven non-zero,
-on sides of up to 66.  s^2, the check s^3 = 1 over Z, s - 1 and N are
-built once over the non-zeros of s, and dense matrices are formed only
-for the blocks below and on request.
+on sides of up to 66.  It reads the generator's ``sparse_rows``, which a
+generator built as a product or an exterior power already holds, so no
+dense copy is written and scanned back.  s^2, the check s^3 = 1 over Z,
+s - 1 and N are built once over the non-zeros of s, and dense rows are
+formed only for the blocks below and on request.  The random lattices
+are built the same way: the unimodular pair is handed over as sparse
+rows, checked to multiply to 1 on those rows, and conjugates a block sum
+of prebuilt blocks.
 
 Each computation first splits the lattice into coordinate direct
 summands: the connected components of the off-diagonal non-zero pattern
@@ -75,12 +80,12 @@ __all__ = [
 class LatticeAction(Value):
     """An order-3 (or trivial) integer action on Z^n, given by its generator.
 
-    Its working form is sparse rows: s as the (column, value) pairs of
-    each row's non-zeros, and s^2, s - 1 and N as dicts {column: value},
-    built once from those, with s^3 = 1 checked exactly over Z on every
-    row.  ``squared``, ``norm`` and ``shifted`` build dense matrices only
-    when called.  It has no ``__slots__``: the rows and ``_invariants`` are
-    kept in its ``__dict__``.
+    Its working form is sparse rows, dicts {column: value}: s as the
+    generator's own ``sparse_rows``, and s^2, s - 1 and N built once from
+    those, with s^3 = 1 checked exactly over Z on every row.  s - 1 and N
+    may keep a zero where entries cancel.  ``squared``, ``norm`` and
+    ``shifted`` build matrices only when called.  It has no ``__slots__``:
+    the rows and ``_invariants`` are kept in its ``__dict__``.
     """
 
     _fields = ("matrix",)
@@ -93,20 +98,20 @@ class LatticeAction(Value):
         m = self.matrix
         if m.rows != m.cols:
             raise ValueError("the generator must be square")
-        s = [list(_nonzero(row)) for row in m.data]
-        square = _product_rows(s, s)
-        if _product_rows([row.items() for row in square], s) != [{i: 1} for i in range(m.rows)]:
+        s = m.sparse_rows
+        items = [row.items() for row in s]
+        square = _product_rows(items, items)
+        if _product_rows(map(dict.items, square), items) != [{i: 1} for i in range(m.rows)]:
             raise ValueError("the generator must cube to the identity")
         shifted, norm = [], []
         for i, (row, row_sq) in enumerate(zip(s, square)):
             delta, total = dict(row), dict(row_sq)
-            for j, x in row:
+            for j, x in row.items():
                 total[j] = total.get(j, 0) + x
             delta[i] = delta.get(i, 0) - 1
             total[i] = total.get(i, 0) + 1
             shifted.append(delta)
             norm.append(total)
-        _set(self, "_rows", s)
         _set(self, "_square", square)
         _set(self, "_norm", norm)
         _set(self, "_shifted", shifted)
@@ -121,17 +126,17 @@ class LatticeAction(Value):
 
     def norm(self) -> IntMatrix:
         """N = 1 + s + s^2."""
-        return IntMatrix._from_rows(self._norm, self.rank)
+        return _block(self._norm, range(self.rank))
 
     def shifted(self) -> IntMatrix:
         """s - 1."""
-        return IntMatrix._from_rows(self._shifted, self.rank)
+        return _block(self._shifted, range(self.rank))
 
     @cached_property
     def _invariants(self) -> tuple[int, FinAbGroup, FinAbGroup]:
         """(fixed rank, even, odd): two cokernels per coordinate direct summand."""
         fixed, even, odd = 0, [], []
-        for idx in _components(self._rows):
+        for idx in _components(self.matrix.sparse_rows):
             by_delta = cokernel(_block(self._shifted, idx))
             by_norm = cokernel(_block(self._norm, idx))
             if by_delta.rank + by_norm.rank != len(idx):
@@ -144,10 +149,10 @@ class LatticeAction(Value):
         return fixed, FinAbGroup.from_factors(0, even), FinAbGroup.from_factors(0, odd)
 
 
-def _components(rows) -> list[list[int]]:
+def _components(rows: list[dict[int, int]]) -> list[list[int]]:
     """Index sets of the connected components of the off-diagonal non-zeros.
 
-    ``rows`` gives each row's non-zero entries as (column, value) pairs.
+    ``rows`` gives each row's non-zero entries as a dict {column: value}.
     """
     parent = list(range(len(rows)))
 
@@ -158,7 +163,7 @@ def _components(rows) -> list[list[int]]:
         return i
 
     for i, row in enumerate(rows):
-        for j, _ in row:
+        for j in row:
             if i != j:
                 parent[root(i)] = root(j)
     groups: dict[int, list[int]] = {}
@@ -167,10 +172,15 @@ def _components(rows) -> list[list[int]]:
     return list(groups.values())
 
 
-def _block(rows: list[dict[int, int]], idx: list[int]) -> IntMatrix:
-    """The dense principal submatrix on ``idx``, which holds every column its rows use."""
+def _block(rows: list[dict[int, int]], idx) -> IntMatrix:
+    """The principal submatrix on ``idx``, which holds every column its rows use.
+
+    The rows may hold zeros, as s - 1 and N do where entries cancel; the
+    block keeps only the non-zeros.
+    """
     local = {j: t for t, j in enumerate(idx)}
-    return IntMatrix._from_rows([{local[j]: x for j, x in rows[i].items()} for i in idx], len(idx))
+    block = [{local[j]: x for j, x in rows[i].items() if x} for i in idx]
+    return IntMatrix._from_rows(block, len(local))
 
 
 def cohomology_snf(action: LatticeAction, degree: int) -> FinAbGroup:
@@ -205,13 +215,23 @@ def jordan_type_mod3(action: LatticeAction) -> JordanType:
 # Up to genus, every order-3 lattice decomposes into three indecomposables:
 # the trivial lattice, the hexagonal rotation plane, and the regular
 # (cyclic permutation) lattice.  Their mod-3 types are N1, N2, N3.
-_TRIVIAL_BLOCK = ((1,),)
-_ROTATION_BLOCK = ((0, -1), (1, -1))
-_REGULAR_BLOCK = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+_TRIVIAL_BLOCK = IntMatrix(((1,),))
+_ROTATION_BLOCK = IntMatrix(((0, -1), (1, -1)))
+_REGULAR_BLOCK = IntMatrix(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+
+
+def _check_inverse(p: IntMatrix, pinv: IntMatrix) -> None:
+    """Raise InvariantError unless p @ pinv is the identity."""
+    if not (p @ pinv).is_identity():
+        raise InvariantError("the tracked inverse of a random unimodular matrix is wrong")
 
 
 def random_unimodular(rng, n: int, ops: int | None = None) -> tuple[IntMatrix, IntMatrix]:
-    """A random determinant +-1 matrix together with its exact inverse."""
+    """A random determinant +-1 matrix together with its exact inverse.
+
+    Both are tracked as integer lists and handed over as sparse rows; the
+    tracked inverse is checked on those rows.
+    """
     if n == 0:
         return IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)
     if ops is None:
@@ -226,8 +246,8 @@ def random_unimodular(rng, n: int, ops: int | None = None) -> tuple[IntMatrix, I
             c = rng.choice((-2, -1, 1, 2))
             for col in range(n):
                 m[i][col] += c * m[j][col]
-            for row in range(n):
-                minv[row][j] -= c * minv[row][i]
+            for row in minv:
+                row[j] -= c * row[i]
         elif kind == 1 and i != j:
             m[i], m[j] = m[j], m[i]
             for row in minv:
@@ -236,9 +256,9 @@ def random_unimodular(rng, n: int, ops: int | None = None) -> tuple[IntMatrix, I
             m[i] = [-x for x in m[i]]
             for row in minv:
                 row[i] = -row[i]
-    p, pinv = IntMatrix(m, n), IntMatrix(minv, n)
-    if not (p @ pinv).is_identity():
-        raise InvariantError("the tracked inverse of a random unimodular matrix is wrong")
+    p = IntMatrix._from_rows([dict(_nonzero(row)) for row in m], n)
+    pinv = IntMatrix._from_rows([dict(_nonzero(row)) for row in minv], n)
+    _check_inverse(p, pinv)
     return p, pinv
 
 
@@ -257,11 +277,7 @@ def random_conjugated_block_action(rng, max_rank: int = 12) -> tuple[LatticeActi
         n = l1 + 2 * l2 + 3 * l3
         if 1 <= n <= max_rank:
             break
-    blocks = (
-        [IntMatrix(_TRIVIAL_BLOCK)] * l1
-        + [IntMatrix(_ROTATION_BLOCK)] * l2
-        + [IntMatrix(_REGULAR_BLOCK)] * l3
-    )
+    blocks = [_TRIVIAL_BLOCK] * l1 + [_ROTATION_BLOCK] * l2 + [_REGULAR_BLOCK] * l3
     rng.shuffle(blocks)
     p, pinv = random_unimodular(rng, n)
     return LatticeAction(p @ IntMatrix.block_diag(blocks) @ pinv), JordanType(l1, l2, l3)

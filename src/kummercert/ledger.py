@@ -33,14 +33,14 @@ script (the script itself, a space, an axiom, a step, a fact and each kind
 of claim) has one table of its keys, each with its reader and its default.
 One reader, ``_keys``, reads every such object through its table, and a
 step's parameters through the table its rule gives when the step is
-replayed; ``script_to_json_dict`` writes through the same tables.  A
-``ScriptFormatError`` is any text that is not a script: not UTF-8 JSON, an
-integer literal too long for the interpreter to convert, ``NaN`` or
-``Infinity``, a duplicate key, a key its table does not list, a missing key
-or a value of the wrong type (a degree that is not a JSON integer, say), or
-a group of a space not declared or of a negative degree.  Reports have JSON
-and plain-text forms and are deterministic: checking the same script twice
-yields byte-identical output.
+replayed; ``script_to_json_dict`` writes through the same tables, with one
+getter per table for an object's values.  A ``ScriptFormatError`` is any
+text that is not a script: not UTF-8 JSON, an integer literal too long for
+the interpreter to convert, ``NaN`` or ``Infinity``, a duplicate key, a key
+its table does not list, a missing key or a value of the wrong type (a
+degree that is not a JSON integer, say), or a group of a space not declared
+or of a negative degree.  Reports have JSON and plain-text forms and are
+deterministic: checking the same script twice yields byte-identical output.
 
 ``GroupRef``, ``Claim`` and ``Fact`` are hash-consed (Filliatre and Conchon,
 "Type-safe modular hash-consing", ML Workshop 2006): equal values are one
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import reprlib
 from collections import Counter
 
@@ -485,7 +486,6 @@ _CLAIMS = {
     "torsion_equals": ({**_KIND, "other": (_ref, ...)}, Claim.torsion_equals),
     "torsion_injects_into": ({**_KIND, "other": (_ref, ...)}, Claim.torsion_injects_into),
 }
-_TABLES = {Script: _SCRIPT, Axiom: _AXIOM, Step: _STEP, Fact: _FACT}
 
 
 def _fact(value, spaces: dict) -> Fact:
@@ -569,22 +569,43 @@ def parse_script(document) -> Script:
     return Script(SCRIPT_FORMAT, declared, tuple(axioms), tuple(steps), goals)
 
 
+def _getter(spec: dict):
+    """One call that reads the value of every key of ``spec`` off an object, as a tuple."""
+    get = operator.attrgetter(*spec)
+    return get if len(spec) > 1 else lambda obj: (get(obj),)
+
+
+# Each object's table and its getter, by class and, for a claim, by kind.
+_WRITERS = {
+    key: (spec, _getter(spec))
+    for key, spec in [(Script, _SCRIPT), (Axiom, _AXIOM), (Step, _STEP), (Fact, _FACT),
+                      *[(kind, spec) for kind, (spec, _) in _CLAIMS.items()]]
+}
+# Values written as they are; dict is a step's params, which the reader keeps as given.
+_PLAIN = frozenset([str, int, bool, dict])
+
+
 def _json(value):
     """``value`` as JSON: a script object as its table lists it, leaving out None and False."""
-    if type(value) is GroupRef:
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is GroupRef:
         return value.to_json_dict()
-    if isinstance(value, Value):
-        spec = _CLAIMS[value.kind][0] if type(value) is Claim else _TABLES[type(value)]
-        return _write(spec, [getattr(value, key) for key in spec])
-    if type(value) is tuple:
+    if kind is tuple:
         return [_json(v) for v in value]
-    if type(value) is frozenset:
+    if kind is frozenset:
         return sorted(value)
-    return value
+    spec, get = _WRITERS[value.kind if kind is Claim else kind]
+    return _write(spec, get(value))
 
 
-def _write(spec: dict, values: list) -> dict:
-    return {key: _json(v) for key, v in zip(spec, values) if v is not None and v is not False}
+def _write(spec: dict, values) -> dict:
+    out = {}
+    for key, v in zip(spec, values):
+        if v is not None and v is not False:
+            out[key] = v if type(v) in _PLAIN else _json(v)
+    return out
 
 
 def script_to_json_dict(script: Script) -> dict:

@@ -10,6 +10,15 @@ kind of matrix, and of sparse integer rows, run one elimination.  All
 values are immutable and every operation is a pure function, so everything
 here is safe to share between threads.
 
+A matrix over Z has two forms: dense rows of ints, ``data``, and sparse
+rows, ``sparse_rows``, one dict {column: value} of the non-zero entries
+per row.  It keeps the form it was built in and builds the other only
+when something reads it.  Products, exterior powers, block sums and
+identities are built as sparse rows, and the product, the exterior power
+and the lattice actions read sparse rows, so a chain of them never writes
+out its zeros; Smith normal form, cokernels, determinants and the
+reports read dense rows, and equality compares the sparse rows.
+
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
 favour simplicity and verifiability over asymptotics: sparse Gaussian
 elimination for ranks over F_p, one loop of division with remainder by a
@@ -419,9 +428,16 @@ def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
 
 
 class IntMatrix:
-    """Immutable dense matrix with arbitrary-precision integer entries."""
+    """Immutable matrix with arbitrary-precision integer entries, in two forms.
 
-    __slots__ = ("data", "cols")
+    The dense form ``data`` is a tuple of rows, each a tuple of ints.  The
+    row form ``sparse_rows`` is a list holding, for each row, a dict
+    {column: value} of its non-zero entries.  A matrix keeps the form it
+    was built in and builds the other on first read, then keeps both;
+    neither is ever mutated, so matrices may share rows.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_sparse")
 
     def __init__(self, rows, cols: int | None = None):
         data = tuple([tuple([int(x) for x in row]) for row in rows])
@@ -434,58 +450,70 @@ class IntMatrix:
             cols = width
         elif cols is None:
             cols = 0
-        self.data = data
+        self.rows = len(data)
         self.cols = cols
+        self._data = data
+        self._sparse = None
 
     @classmethod
     def _trusted(cls, data: tuple, cols: int) -> "IntMatrix":
-        """Wrap rows this module built itself, skipping the constructor's checks.
+        """Wrap dense rows this module built itself, skipping the constructor's checks.
 
         ``data`` must already be a tuple of ``cols``-wide tuples of Python
         ints; only results computed here qualify, never caller input.
         """
         m = object.__new__(cls)
-        m.data = data
+        m.rows = len(data)
         m.cols = cols
+        m._data = data
+        m._sparse = None
         return m
 
     @classmethod
-    def _from_rows(cls, rows, cols: int) -> "IntMatrix":
-        """The dense matrix of sparse rows, each a dict {column: value}."""
-        data = []
-        for entries in rows:
-            row = [0] * cols
-            for j, x in entries.items():
-                row[j] = x
-            data.append(tuple(row))
-        return cls._trusted(tuple(data), cols)
+    def _from_rows(cls, rows: list[dict[int, int]], cols: int) -> "IntMatrix":
+        """Wrap sparse rows this package built itself, without writing out their zeros.
+
+        ``rows`` must be a list of dicts {column: value}, one per row, each
+        holding only non-zero ints in columns below ``cols``; no caller may
+        mutate them afterwards.
+        """
+        m = object.__new__(cls)
+        m.rows = len(rows)
+        m.cols = cols
+        m._data = None
+        m._sparse = rows
+        return m
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows; built from the sparse rows on first read."""
+        if self._data is None:
+            self._data = tuple([tuple(row) for row in self.to_lists()])
+        return self._data
+
+    @property
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """Each row as a dict {column: value} of its non-zero entries; never mutate it."""
+        if self._sparse is None:
+            self._sparse = [dict(_nonzero(row)) for row in self._data]
+        return self._sparse
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        rows = tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
-        return cls._trusted(rows, n)
+        return cls._from_rows([{i: 1} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(((0,) * cols,) * rows, cols)
+        return cls._from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def block_diag(cls, blocks) -> "IntMatrix":
-        blocks = list(blocks)
-        n = sum(b.rows for b in blocks)
-        m = sum(b.cols for b in blocks)
-        out = [[0] * m for _ in range(n)]
-        i = j = 0
+        rows: list[dict[int, int]] = []
+        offset = 0
         for b in blocks:
-            for r, row in enumerate(b.data):
-                out[i + r][j : j + b.cols] = row
-            i += b.rows
-            j += b.cols
-        return cls(out, m)
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
+            rows += [{offset + j: x for j, x in row.items()} for row in b.sparse_rows]
+            offset += b.cols
+        return cls._from_rows(rows, offset)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -494,14 +522,16 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
+            and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("mismatched shapes")
-        rows = _product_rows(map(_nonzero, self.data), [list(_nonzero(r)) for r in other.data])
+        b_rows = [row.items() for row in other.sparse_rows]
+        rows = _product_rows(map(dict.items, self.sparse_rows), b_rows)
         return IntMatrix._from_rows(rows, other.cols)
 
     def mat_pow(self, e: int) -> "IntMatrix":
@@ -515,10 +545,10 @@ class IntMatrix:
         return out
 
     def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.rows) and self.rows == self.cols
+        return self.rows == self.cols and self.sparse_rows == [{i: 1} for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
+        return not any(self.sparse_rows)
 
     def column_submatrix(self, indices) -> "IntMatrix":
         idx = list(indices)
@@ -538,7 +568,7 @@ class IntMatrix:
         n = self.rows
         if n == 0:
             return 1
-        a = [list(row) for row in self.data]
+        a = self.to_lists()
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -558,7 +588,16 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.data]
+        """The dense rows as fresh lists, written straight from whichever form is kept."""
+        if self._data is not None:
+            return [list(row) for row in self._data]
+        out = []
+        for entries in self._sparse:
+            row = [0] * self.cols
+            for j, x in entries.items():
+                row[j] = x
+            out.append(row)
+        return out
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"
@@ -642,7 +681,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     operations.
     """
     nrows, ncols = m.rows, m.cols
-    a = [list(row) + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(m.data)]
+    a = [row + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(m.to_lists())]
     a += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     _diagonalize(a, nrows, ncols)
     return (
@@ -658,7 +697,7 @@ def _diagonal(d: IntMatrix) -> list[int]:
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
     """Invariants of Z^rows modulo the column span of m."""
-    a = [list(row) for row in m.data]
+    a = m.to_lists()
     rank = _diagonalize(a, m.rows, m.cols)
     return FinAbGroup(m.rows - rank, tuple([a[i][i] for i in range(rank) if a[i][i] > 1]))
 
@@ -716,7 +755,9 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
     over the non-zero entries of each column of m.  Column prefixes are
     visited depth first, so the partial wedge of every prefix
     (t1, ..., tj) is built once and shared by all its extensions, and a
-    prefix whose wedge vanishes is dropped with all of them.
+    prefix whose wedge vanishes is dropped with all of them.  The columns
+    of m are gathered from its sparse rows, and the result keeps the row
+    form: one dict per subset S of the non-zero minors in its row.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
@@ -724,14 +765,15 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
     if k < 0 or k > n:
         raise BadDegreeError(f"degree {k} out of range for a {n} x {n} matrix")
     # Subsets are bit masks; e_i moves into place past the set bits above i.
-    columns = [
-        [(i, 1 << i, m.data[i][t]) for i in range(n) if m.data[i][t]] for t in range(n)
-    ]
+    columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(m.sparse_rows):
+        for t, x in row.items():
+            columns[t].append((i, 1 << i, x))
     index = {
         sum(1 << i for i in subset): r
         for r, subset in enumerate(itertools.combinations(range(n), k))
     }
-    out = [[0] * len(index) for _ in index]
+    out: list[dict[int, int]] = [{} for _ in index]
     # (partial wedge, columns taken as a mask, next column, columns taken)
     stack: list[tuple[dict[int, int], int, int, int]] = [({0: 1}, 0, 0, 0)]
     while stack:
@@ -753,4 +795,4 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
             wedge = {subset: coeff for subset, coeff in wedge.items() if coeff}
             if wedge:
                 stack.append((wedge, prefix | 1 << t, t + 1, depth + 1))
-    return IntMatrix._trusted(tuple([tuple(row) for row in out]), len(index))
+    return IntMatrix._from_rows(out, len(index))

@@ -16,6 +16,13 @@ sys.path.insert(0, str(BENCH_DIR))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+# The lattice layers that crossval and certify exist to exercise.
+LATTICE_LAYERS = (
+    "cohomology.lattice_action",
+    "linalg.exterior_power",
+    "cohomology.random_conjugated_block_action",
+)
+
 
 @pytest.mark.parametrize("name", sorted(workloads.TRACED))
 def test_traced_workload_runs_its_first_operation(name):
@@ -29,3 +36,6 @@ def test_traced_workload_runs_its_first_operation(name):
     if name in ("ledger", "certify"):
         # The facts a replay adds are counted at FactStore.add, so they must pass through it.
         assert tracer.totals["ledger.facts_added"] > 0
+    if name in ("crossval", "certify"):
+        # Building lattices from rows must still pass through the wrapped layers.
+        assert [layer for layer in LATTICE_LAYERS if tracer.calls[layer] == 0] == []

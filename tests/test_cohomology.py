@@ -60,6 +60,56 @@ def test_action_validation_sees_every_block(bad):
             LatticeAction(m)
 
 
+def row_built(rows, cols):
+    """An IntMatrix that holds only sparse rows, built from a list matrix."""
+    return IntMatrix._from_rows([{j: x for j, x in enumerate(row) if x} for row in rows], cols)
+
+
+def test_a_row_built_generator_is_checked_like_a_dense_one():
+    for rows, cols in [([[1, 0]], 2), ([[1], [0]], 1), ([[0, 1, 0], [0, 0, 1]], 3)]:
+        for m in (row_built(rows, cols), IntMatrix.block_diag([row_built(rows, cols)])):
+            with pytest.raises(ValueError, match="^the generator must be square$"):
+                LatticeAction(m)
+    p, pinv = random_unimodular(random.Random(73), 5)
+    for bad in [[[2]], [[0, 1], [1, 0]], [[-1]], *OFF_THE_DIAGONAL]:
+        n = len(bad)
+        scrambled = p @ IntMatrix.block_diag([row_built(bad, n), IntMatrix.identity(5 - n)]) @ pinv
+        for m in (row_built(bad, n), scrambled):
+            with pytest.raises(ValueError, match="^the generator must cube to the identity$"):
+                LatticeAction(m)
+
+
+def test_a_wrong_tracked_inverse_is_an_invariant_error():
+    rng = random.Random(71)
+    for n in (1, 2, 7, 12):
+        p, pinv = random_unimodular(rng, n)
+        cohomology._check_inverse(p, pinv)
+        # pinv + E_ij is no inverse: p (pinv + E_ij) = 1 + p E_ij, and p e_i is not 0.
+        entries = pinv.to_lists()
+        entries[rng.randrange(n)][rng.randrange(n)] += 1
+        for wrong in (IntMatrix(entries, n), row_built(entries, n)):
+            with pytest.raises(InvariantError, match="tracked inverse"):
+                cohomology._check_inverse(p, wrong)
+    with mock.patch.object(cohomology, "_check_inverse", wraps=cohomology._check_inverse) as check:
+        p, pinv = random_unimodular(rng, 4)
+    check.assert_called_once_with(p, pinv)
+
+
+def test_an_action_on_row_built_rows_equals_its_dense_copy():
+    rng = random.Random(79)
+    for _ in range(150):
+        action, counts = random_conjugated_block_action(rng, max_rank=12)
+        actions = [action]
+        if counts.dimension >= 2:
+            actions.append(coefficient_action(action, 2))
+        for rows in actions:
+            dense = LatticeAction(IntMatrix(rows.matrix.to_lists(), rows.rank))
+            assert dense == rows and rows == dense
+            assert jordan_type_mod3(dense) == jordan_type_mod3(rows)
+            assert dense._invariants == rows._invariants
+        assert jordan_type_mod3(action) == counts
+
+
 class NoDraws:
     """A random source that fails any draw."""
 
@@ -372,7 +422,7 @@ def test_random_lattices_match_the_quotient_reference():
             # A longer scramble: larger coefficients, rarely any direct summand.
             p, pinv = random_unimodular(rng, action.rank, ops=4 * action.rank)
             action = LatticeAction(p @ action.matrix @ pinv)
-        unsplit += len(_components(action._rows)) == 1
+        unsplit += len(_components(action.matrix.sparse_rows)) == 1
         expected = quotient_reference(action)
         assert two_cokernel_route(action) == expected
         assert expected == (

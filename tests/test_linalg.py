@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummercert.cohomology import LatticeAction
+from kummercert.kummer import build_sigma_h1
 from kummercert.linalg import (
     BadDegreeError,
     ExactSolveError,
@@ -455,7 +456,14 @@ def test_fp_entries_are_reduced():
 
 
 def assert_well_formed(m):
-    """m is what the public constructor would build from the same rows."""
+    """m is what the public constructor would build from the same rows, in both forms."""
+    rows = m.sparse_rows
+    assert type(rows) is list and len(rows) == m.rows
+    assert all(type(row) is dict for row in rows)
+    assert all(
+        type(j) is int and 0 <= j < m.cols and type(x) is int and x
+        for row in rows for j, x in row.items()
+    )
     assert type(m.data) is tuple
     assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
     assert all(type(x) is int for row in m.data for x in row)
@@ -472,13 +480,87 @@ def test_internally_built_results_are_well_formed(n, k, m, data):
     columns = data.draw(st.lists(st.integers(0, k - 1), max_size=4)) if k else []
     results = [
         a @ b,
+        row_built(a) @ row_built(b),
         IntMatrix.identity(n),
+        IntMatrix.zeros(n, k),
+        IntMatrix.block_diag([a, square, row_built(b)]),
+        square.mat_pow(2),
         a.column_submatrix(columns),
         *smith_normal_form(a),
         exterior_power(square, data.draw(st.integers(0, n))),
+        exterior_power(row_built(square), data.draw(st.integers(0, n))),
     ]
     for result in results:
         assert_well_formed(result)
+
+
+# ----------------------------------------------------------- the row form
+
+
+def row_built(m):
+    """A matrix equal to ``m`` that holds only sparse rows, built afresh from its entries."""
+    return IntMatrix._from_rows([{j: x for j, x in enumerate(row) if x} for row in m.data], m.cols)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_row_built_and_dense_built_matrices_agree(n, k, data):
+    # Zero rows, 0 x 0, 1 x 1 and non-square shapes all occur.  Each check
+    # gets a fresh row-built copy, which holds no dense rows until it is read.
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    dense = data.draw(matrices(n, k, entry))
+    blank = data.draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []
+    dense = IntMatrix([[0] * k if i in blank else row for i, row in enumerate(dense.data)], k)
+    assert row_built(dense) == dense and dense == row_built(dense)
+    assert row_built(dense) == row_built(dense)
+    assert row_built(dense).data == dense.data
+    assert (row_built(dense).rows, row_built(dense).cols) == (dense.rows, dense.cols)
+    assert row_built(dense).to_lists() == dense.to_lists()
+    assert row_built(dense).sparse_rows == IntMatrix(dense.data, k).sparse_rows
+    assert row_built(dense).is_zero() == dense.is_zero()
+    for p in (2, 3, 251):
+        assert row_built(dense).reduce_mod(p) == dense.reduce_mod(p)
+    if n == k:
+        assert row_built(dense).det() == dense.det()
+        assert row_built(dense).is_identity() == (dense == IntMatrix.identity(n))
+    both = row_built(dense)
+    assert both.data == dense.data and both == dense and dense == both
+    if n and k:
+        changed = dense.to_lists()
+        changed[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, k - 1))] += 1
+        other = IntMatrix(changed, k)
+        assert row_built(other) != dense and dense != row_built(other)
+        assert row_built(other) != row_built(dense)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3)])
+def test_forms_compare_their_shapes(rows, cols):
+    zeros = IntMatrix([[0] * cols] * rows, cols)
+    assert IntMatrix.zeros(rows, cols) == zeros == row_built(zeros)
+    for other in ((rows + 1, cols), (rows, cols + 1)):
+        assert IntMatrix.zeros(*other) != zeros and row_built(IntMatrix.zeros(*other)) != zeros
+        assert IntMatrix.zeros(*other) != row_built(zeros)
+    # Only a square matrix is the identity, even where its rows are those of one.
+    padded = IntMatrix([[1 if i == j else 0 for j in range(cols)] for i in range(rows)], cols)
+    assert padded.is_identity() == row_built(padded).is_identity() == (rows == cols)
+
+
+def row_form(rows, cols):
+    return row_built(IntMatrix(rows, cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_products_in_every_form_equal_the_references(n, k, m, data):
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    expected = IntMatrix(triple_loop_product(a, b, m), m)
+    for left, right in itertools.product((IntMatrix, row_form), repeat=2):
+        product = left(a, k) @ right(b, m)
+        assert product == expected
+        assert product == matmul_reference(IntMatrix(a, k), IntMatrix(b, m))
+        assert_well_formed(product)
 
 
 # ----------------------------------------------------------- cokernel, kernel
@@ -631,6 +713,17 @@ def test_exterior_power_matches_minors(n, density, data):
     m = data.draw(matrices(n, n, value))
     k = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
     assert exterior_power(m, k) == minors(m, k)
+
+
+def test_exterior_powers_of_sigma_equal_the_minors():
+    # The rank-8 model's generator is built from sparse rows; its powers
+    # must equal the compound matrices computed densely, entry by entry.
+    sigma = build_sigma_h1().matrix
+    dense = IntMatrix(sigma.to_lists())
+    for q in range(6):
+        power = exterior_power(sigma, q)
+        assert power.data == minors(dense, q).data
+        assert exterior_power(dense, q) == power
 
 
 @pytest.mark.parametrize("x", [0, 1, -7, 10**6, -(2**80)])
