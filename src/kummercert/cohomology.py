@@ -15,14 +15,12 @@ ranks add up to n, as Q^n = ker(s - 1) + ker(N) (checked, not assumed).
 An action works on sparse rows, the non-zero entries of each row, as the
 exterior powers it acts on are sparse: the wedge squares of scrambled
 lattices of rank up to 12 have a median of one entry in eleven non-zero,
-on sides of up to 66.  It reads the generator's ``sparse_rows``, which a
-generator built as a product or an exterior power already holds, so no
-dense copy is written and scanned back.  s^2, the check s^3 = 1 over Z,
-s - 1 and N are built once over the non-zeros of s, and dense rows are
-formed only for the blocks below and on request.  The random lattices
-are built the same way: the unimodular pair is handed over as sparse
-rows, checked to multiply to 1 on those rows, and conjugates a block sum
-of prebuilt blocks.
+on sides of up to 66.  It reads the generator's ``sparse_rows``.  s^2,
+the check s^3 = 1 over Z, s - 1 and N are built once over the non-zeros
+of s, and dense rows are formed only for the blocks below and on
+request.  The random lattices are built the same way: the unimodular
+pair is handed over as sparse rows, checked to multiply to 1 on those
+rows, and conjugates a block sum of prebuilt blocks.
 
 Each computation first splits the lattice into coordinate direct
 summands: the connected components of the off-diagonal non-zero pattern

@@ -12,6 +12,8 @@ followed by a Jordan-profile computation.
 
 from __future__ import annotations
 
+import operator
+
 from .linalg import BadDegreeError, FpMatrix, InvariantError, Value, _set
 
 __all__ = [
@@ -36,6 +38,7 @@ class JordanType(Value):
     __slots__ = _fields = ("l1", "l2", "l3")
 
     def __init__(self, l1: int, l2: int, l3: int):
+        l1, l2, l3 = operator.index(l1), operator.index(l2), operator.index(l3)
         if l1 < 0 or l2 < 0 or l3 < 0:
             raise ValueError("block counts must be non-negative")
         _set(self, "l1", l1)

@@ -464,7 +464,7 @@ def _iso_to(rank: int, torsion: list) -> Claim:
     if any(x >= FACTOR_BOUND for x in torsion):
         raise ScriptFormatError(f"iso_to claim: invariant factors must be below {FACTOR_BOUND}")
     try:
-        return Claim.iso_to(FinAbGroup(rank, tuple(torsion)))
+        return Claim.iso_to(FinAbGroup(rank, torsion))
     except ValueError as exc:  # a negative rank, or no chain of divisors
         raise ScriptFormatError(f"iso_to claim: {exc}") from None
 

@@ -1,23 +1,17 @@
 """Exact linear algebra over prime fields and over the integers, stdlib only.
 
-Matrices over Z hold Python integers and are immune to overflow.  Matrices
-over F_p (p < 256) keep each row as ``bytes`` with entries in [0, p).  Both
-multiply with one product over sparse rows, which the lattice actions of
-``cohomology`` call directly: each non-zero a[i][k] meets only the
-non-zero entries of row k of b, so the block-sparse matrices this package
-builds cost in proportion to their non-zeros.  Ranks over F_p of either
-kind of matrix, and of sparse integer rows, run one elimination.  All
-values are immutable and every operation is a pure function, so everything
-here is safe to share between threads.
-
-A matrix over Z has two forms: dense rows of ints, ``data``, and sparse
-rows, ``sparse_rows``, one dict {column: value} of the non-zero entries
-per row.  It keeps the form it was built in and builds the other only
-when something reads it.  Products, exterior powers, block sums and
-identities are built as sparse rows, and the product, the exterior power
-and the lattice actions read sparse rows, so a chain of them never writes
-out its zeros; Smith normal form, cokernels, determinants and the
-reports read dense rows, and equality compares the sparse rows.
+Matrices over Z keep one form, sparse rows of Python integers (one dict
+{column: value} of the non-zero entries per row), and are immune to
+overflow.  Matrices over F_p (p < 256) keep each row as ``bytes`` with
+entries in [0, p).  Both multiply with one product over sparse rows, which
+the lattice actions of ``cohomology`` call directly: each non-zero a[i][k]
+meets only the non-zero entries of row k of b, so the block-sparse
+matrices this package builds cost in proportion to their non-zeros.
+Smith normal form, cokernels and determinants eliminate on dense lists
+written out from the rows.  Ranks over F_p of either kind of matrix, and
+of sparse integer rows, run one elimination.  All values are immutable
+and every operation is a pure function, so everything here is safe to
+share between threads.
 
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
 favour simplicity and verifiability over asymptotics: sparse Gaussian
@@ -30,6 +24,7 @@ column-wedge expansion over the non-zero entries for compound
 from __future__ import annotations
 
 import itertools
+import operator
 
 # Tuples of rows are built from lists, never from generators or map objects:
 # tuple() of an iterator of unknown length allocates a guessed size and then
@@ -153,6 +148,8 @@ class FinAbGroup(Value):
     __slots__ = _fields = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        rank = operator.index(rank)
+        torsion = tuple([operator.index(d) for d in torsion])
         if rank < 0:
             raise ValueError("rank must be non-negative")
         prev = 1
@@ -196,7 +193,7 @@ class FinAbGroup(Value):
             for i, e in enumerate(sorted(exps, reverse=True)):
                 chain[i] *= p**e
         chain.reverse()
-        return cls(rank, tuple(chain))
+        return cls(rank, chain)
 
     def direct_sum(self, *others: "FinAbGroup") -> "FinAbGroup":
         rank = self.rank + sum(g.rank for g in others)
@@ -211,7 +208,7 @@ class FinAbGroup(Value):
             raise ValueError("copies must be non-negative")
         # Sorted, the repeated chain is again a divisibility chain.  An empty
         # chain is not repeated: ``() * copies`` overflows from 2^63 copies.
-        torsion = tuple(sorted(self.torsion * copies)) if self.torsion else ()
+        torsion = sorted(self.torsion * copies) if self.torsion else ()
         return FinAbGroup(self.rank * copies, torsion)
 
     @property
@@ -252,7 +249,7 @@ class FpMatrix:
 
     def __init__(self, p: int, rows, cols: int | None = None):
         _check_modulus(p)
-        data = tuple([bytes([int(x) % p for x in row]) for row in rows])
+        data = tuple([bytes([operator.index(x) % p for x in row]) for row in rows])
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -339,7 +336,7 @@ class FpMatrix:
 
     def lift(self) -> "IntMatrix":
         """The entries read as integers in [0, p)."""
-        return IntMatrix._trusted(tuple([tuple(row) for row in self.data]), self.cols)
+        return IntMatrix._from_rows([dict(_nonzero(row)) for row in self.data], self.cols)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
@@ -428,19 +425,18 @@ def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
 
 
 class IntMatrix:
-    """Immutable matrix with arbitrary-precision integer entries, in two forms.
+    """Immutable matrix with arbitrary-precision integer entries, kept as sparse rows.
 
-    The dense form ``data`` is a tuple of rows, each a tuple of ints.  The
-    row form ``sparse_rows`` is a list holding, for each row, a dict
-    {column: value} of its non-zero entries.  A matrix keeps the form it
-    was built in and builds the other on first read, then keeps both;
-    neither is ever mutated, so matrices may share rows.
+    ``sparse_rows`` is a list holding, for each row, a dict {column: value}
+    of its non-zero entries; it is the only form stored.  ``data`` and
+    ``to_lists`` write the dense rows out from it on each call.  Rows are
+    never mutated, so matrices may share them.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_sparse")
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     def __init__(self, rows, cols: int | None = None):
-        data = tuple([tuple([int(x) for x in row]) for row in rows])
+        data = [[operator.index(x) for x in row] for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -452,26 +448,11 @@ class IntMatrix:
             cols = 0
         self.rows = len(data)
         self.cols = cols
-        self._data = data
-        self._sparse = None
-
-    @classmethod
-    def _trusted(cls, data: tuple, cols: int) -> "IntMatrix":
-        """Wrap dense rows this module built itself, skipping the constructor's checks.
-
-        ``data`` must already be a tuple of ``cols``-wide tuples of Python
-        ints; only results computed here qualify, never caller input.
-        """
-        m = object.__new__(cls)
-        m.rows = len(data)
-        m.cols = cols
-        m._data = data
-        m._sparse = None
-        return m
+        self.sparse_rows = [dict(_nonzero(row)) for row in data]
 
     @classmethod
     def _from_rows(cls, rows: list[dict[int, int]], cols: int) -> "IntMatrix":
-        """Wrap sparse rows this package built itself, without writing out their zeros.
+        """Wrap sparse rows this package built itself, skipping the constructor's checks.
 
         ``rows`` must be a list of dicts {column: value}, one per row, each
         holding only non-zero ints in columns below ``cols``; no caller may
@@ -480,23 +461,13 @@ class IntMatrix:
         m = object.__new__(cls)
         m.rows = len(rows)
         m.cols = cols
-        m._data = None
-        m._sparse = rows
+        m.sparse_rows = rows
         return m
 
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
-        """The dense rows; built from the sparse rows on first read."""
-        if self._data is None:
-            self._data = tuple([tuple(row) for row in self.to_lists()])
-        return self._data
-
-    @property
-    def sparse_rows(self) -> list[dict[int, int]]:
-        """Each row as a dict {column: value} of its non-zero entries; never mutate it."""
-        if self._sparse is None:
-            self._sparse = [dict(_nonzero(row)) for row in self._data]
-        return self._sparse
+        """The dense rows as tuples, written out from the sparse rows on each read."""
+        return tuple([tuple(row) for row in self.to_lists()])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -552,14 +523,20 @@ class IntMatrix:
 
     def column_submatrix(self, indices) -> "IntMatrix":
         idx = list(indices)
-        data = [tuple([row[j] for j in idx]) for row in self.data]
-        return IntMatrix._trusted(tuple(data), len(idx))
+        if not all(0 <= j < self.cols for j in idx):
+            raise IndexError("column index out of range")
+        rows = [{c: x for c, j in enumerate(idx) if (x := row.get(j))} for row in self.sparse_rows]
+        return IntMatrix._from_rows(rows, len(idx))
 
     def reduce_mod(self, p: int) -> FpMatrix:
         _check_modulus(p)
-        reduce = p.__rmod__  # reduce(x) is x % p
-        data = [bytes(map(reduce, row)) for row in self.data]
-        return FpMatrix._trusted(p, tuple(data), self.cols)
+        out = []
+        for entries in self.sparse_rows:
+            row = bytearray(self.cols)
+            for j, x in entries.items():
+                row[j] = x % p
+            out.append(bytes(row))
+        return FpMatrix._trusted(p, tuple(out), self.cols)
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -588,11 +565,9 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def to_lists(self) -> list[list[int]]:
-        """The dense rows as fresh lists, written straight from whichever form is kept."""
-        if self._data is not None:
-            return [list(row) for row in self._data]
+        """The dense rows as fresh lists, written out from the sparse rows."""
         out = []
-        for entries in self._sparse:
+        for entries in self.sparse_rows:
             row = [0] * self.cols
             for j, x in entries.items():
                 row[j] = x
@@ -685,21 +660,21 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     a += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     _diagonalize(a, nrows, ncols)
     return (
-        IntMatrix._trusted(tuple([tuple(row[ncols:]) for row in a[:nrows]]), nrows),
-        IntMatrix._trusted(tuple([tuple(row[:ncols]) for row in a[:nrows]]), ncols),
-        IntMatrix._trusted(tuple([tuple(row) for row in a[nrows:]]), ncols),
+        IntMatrix._from_rows([dict(_nonzero(row[ncols:])) for row in a[:nrows]], nrows),
+        IntMatrix._from_rows([dict(_nonzero(row[:ncols])) for row in a[:nrows]], ncols),
+        IntMatrix._from_rows([dict(_nonzero(row)) for row in a[nrows:]], ncols),
     )
 
 
 def _diagonal(d: IntMatrix) -> list[int]:
-    return [d.data[i][i] for i in range(min(d.rows, d.cols))]
+    return [d.sparse_rows[i].get(i, 0) for i in range(min(d.rows, d.cols))]
 
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
     """Invariants of Z^rows modulo the column span of m."""
     a = m.to_lists()
     rank = _diagonalize(a, m.rows, m.cols)
-    return FinAbGroup(m.rows - rank, tuple([a[i][i] for i in range(rank) if a[i][i] > 1]))
+    return FinAbGroup(m.rows - rank, [a[i][i] for i in range(rank) if a[i][i] > 1])
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -724,14 +699,14 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("mismatched shapes")
     u, d, v = smith_normal_form(a)
-    ub = u @ b
+    ub = (u @ b).to_lists()
     diag = _diagonal(d)
     s = len([x for x in diag if x != 0])
     z = []
     for i in range(a.cols):
         if i < s:
             row = []
-            for val in ub.data[i]:
+            for val in ub[i]:
                 q, r = divmod(val, diag[i])
                 if r:
                     raise ExactSolveError("no integral solution (divisibility fails)")
@@ -740,7 +715,7 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         else:
             z.append([0] * b.cols)
     for i in range(s, a.rows):
-        if any(ub.data[i]):
+        if any(ub[i]):
             raise ExactSolveError("no integral solution (inconsistent system)")
     return v @ IntMatrix(z, b.cols)
 

@@ -22,6 +22,8 @@ LATTICE_LAYERS = (
     "linalg.exterior_power",
     "cohomology.random_conjugated_block_action",
 )
+# The F_3 layers the oracle exists to exercise.
+ORACLE_LAYERS = ("jordan.jordan_type_unipotent", "linalg.fp_rank")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.TRACED))
@@ -39,3 +41,6 @@ def test_traced_workload_runs_its_first_operation(name):
     if name in ("crossval", "certify"):
         # Building lattices from rows must still pass through the wrapped layers.
         assert [layer for layer in LATTICE_LAYERS if tracer.calls[layer] == 0] == []
+    if name == "oracle":
+        # Criterion 4's reference route: Jordan types from ranks of dense F_3 matrices.
+        assert [layer for layer in ORACLE_LAYERS if tracer.calls[layer] == 0] == []

@@ -61,7 +61,7 @@ def test_action_validation_sees_every_block(bad):
 
 
 def row_built(rows, cols):
-    """An IntMatrix that holds only sparse rows, built from a list matrix."""
+    """An IntMatrix wrapped by ``_from_rows`` from a list matrix, past the public constructor."""
     return IntMatrix._from_rows([{j: x for j, x in enumerate(row) if x} for row in rows], cols)
 
 

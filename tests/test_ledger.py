@@ -2,6 +2,7 @@ import hashlib
 import importlib.resources
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +292,18 @@ def test_factoring_is_bounded_per_claim(monkeypatch):
 
 
 # -------------------------------------------------------------------- rules
+
+# The rules section is the replay's trusted base: it stays small enough to
+# review, so new rules or declarations cannot grow it unnoticed.
+RULES_SECTION_BUDGET = 292
+
+
+def test_the_rules_section_stays_within_its_budget():
+    lines = Path(ledger.__file__).read_text().splitlines()
+    start = lines.index("# rules")
+    end = next(i for i, line in enumerate(lines) if line.startswith("def _commit("))
+    assert start < end
+    assert end - start < RULES_SECTION_BUDGET
 
 
 def step(rule, params, inputs=(), step_id="t1"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummercert.cohomology import LatticeAction
+from kummercert.cohomology import LatticeAction, random_conjugated_block_action
 from kummercert.kummer import build_sigma_h1
 from kummercert.linalg import (
     BadDegreeError,
@@ -456,7 +456,11 @@ def test_fp_entries_are_reduced():
 
 
 def assert_well_formed(m):
-    """m is what the public constructor would build from the same rows, in both forms."""
+    """m holds exactly the rows the public constructor would build from its entries.
+
+    Equality compares the sparse rows, so a stray zero kept in a row would
+    make two equal matrices compare unequal.
+    """
     rows = m.sparse_rows
     assert type(rows) is list and len(rows) == m.rows
     assert all(type(row) is dict for row in rows)
@@ -467,6 +471,7 @@ def assert_well_formed(m):
     assert type(m.data) is tuple
     assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
     assert all(type(x) is int for row in m.data for x in row)
+    assert m.data == tuple([tuple(row) for row in m.to_lists()])
     assert m == IntMatrix(m.data, m.cols)
 
 
@@ -476,8 +481,10 @@ def test_internally_built_results_are_well_formed(n, k, m, data):
     entries = st.integers(-(2**70), 2**70) if data.draw(st.booleans()) else st.integers(-255, 255)
     a = data.draw(matrices(n, k, entries))
     b = data.draw(matrices(k, m, entries))
+    x = data.draw(matrices(k, m, st.integers(-9, 9)))
     square = data.draw(matrices(n, n, st.integers(-50, 50)))
     columns = data.draw(st.lists(st.integers(0, k - 1), max_size=4)) if k else []
+    action, _ = random_conjugated_block_action(random.Random(data.draw(st.integers())), 6)
     results = [
         a @ b,
         row_built(a) @ row_built(b),
@@ -489,16 +496,23 @@ def test_internally_built_results_are_well_formed(n, k, m, data):
         *smith_normal_form(a),
         exterior_power(square, data.draw(st.integers(0, n))),
         exterior_power(row_built(square), data.draw(st.integers(0, n))),
+        kernel_basis(a),
+        solve_exact(a, a @ x),
+        FpMatrix(3, a.to_lists()).lift(),
+        row_built(a).reduce_mod(251).lift(),
+        action.squared().matrix,
+        action.norm(),
+        action.shifted(),
     ]
     for result in results:
         assert_well_formed(result)
 
 
-# ----------------------------------------------------------- the row form
+# ------------------------------------------------- the two constructors agree
 
 
 def row_built(m):
-    """A matrix equal to ``m`` that holds only sparse rows, built afresh from its entries."""
+    """A matrix equal to ``m``, wrapped by ``_from_rows`` from rows built afresh from its entries."""
     return IntMatrix._from_rows([{j: x for j, x in enumerate(row) if x} for row in m.data], m.cols)
 
 
@@ -506,7 +520,8 @@ def row_built(m):
 @given(st.integers(0, 6), st.integers(0, 6), st.data())
 def test_row_built_and_dense_built_matrices_agree(n, k, data):
     # Zero rows, 0 x 0, 1 x 1 and non-square shapes all occur.  Each check
-    # gets a fresh row-built copy, which holds no dense rows until it is read.
+    # gets a fresh copy wrapped by ``_from_rows``, so no check sees what an
+    # earlier one read from it.
     entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
     dense = data.draw(matrices(n, k, entry))
     blank = data.draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []
@@ -523,8 +538,9 @@ def test_row_built_and_dense_built_matrices_agree(n, k, data):
     if n == k:
         assert row_built(dense).det() == dense.det()
         assert row_built(dense).is_identity() == (dense == IntMatrix.identity(n))
-    both = row_built(dense)
-    assert both.data == dense.data and both == dense and dense == both
+    # Reading ``data`` stores nothing beside the rows: the matrix compares as before.
+    read = row_built(dense)
+    assert read.data == dense.data and read == dense and dense == read
     if n and k:
         changed = dense.to_lists()
         changed[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, k - 1))] += 1
@@ -546,6 +562,7 @@ def test_forms_compare_their_shapes(rows, cols):
 
 
 def row_form(rows, cols):
+    """The matrix of ``rows`` as ``_from_rows`` wraps it, beside the public constructor."""
     return row_built(IntMatrix(rows, cols))
 
 
@@ -556,6 +573,7 @@ def test_products_in_every_form_equal_the_references(n, k, m, data):
     a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
     b = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
     expected = IntMatrix(triple_loop_product(a, b, m), m)
+    # Each factor built by either constructor.
     for left, right in itertools.product((IntMatrix, row_form), repeat=2):
         product = left(a, k) @ right(b, m)
         assert product == expected
@@ -638,6 +656,13 @@ def test_kernel_of_vanishing_norm():
     norm = LatticeAction(t).norm()
     assert norm.is_zero()
     assert kernel_basis(norm).shape == (2, 2)
+
+
+@pytest.mark.parametrize("columns", [[2], [0, 3], [-1]])
+def test_column_submatrix_takes_only_columns_of_the_matrix(columns):
+    # The rows hold no zeros, so a column outside the matrix would read as zeros.
+    with pytest.raises(IndexError):
+        IntMatrix([[1, 2], [3, 4]]).column_submatrix(columns)
 
 
 def test_kernel_columns_are_killed_and_saturated():

@@ -21,7 +21,7 @@ from kummercert.ledger import (
     Step,
     StepRecord,
 )
-from kummercert.linalg import FinAbGroup, IntMatrix
+from kummercert.linalg import FinAbGroup, FpMatrix, IntMatrix
 
 SIGMA = IntMatrix(((-1, 1), (-1, 0)))
 SIGMA_REPR = "LatticeAction(matrix=IntMatrix([[-1, 1], [-1, 0]]))"
@@ -192,3 +192,35 @@ def test_group_validation_messages(args, message):
 def test_jordan_type_validation_message(counts):
     with pytest.raises(ValueError, match="^block counts must be non-negative$"):
         JordanType(*counts)
+
+
+class Three:
+    """An int-like that is not an int: ``operator.index`` reads it as 3."""
+
+    def __index__(self):
+        return 3
+
+
+# (value type, built with x in one integer slot, the value built with x = 3)
+INTEGER_SLOTS = [
+    ("IntMatrix", lambda x: IntMatrix([[x, 3]]), IntMatrix([[3, 3]])),
+    ("FpMatrix", lambda x: FpMatrix(5, [[x, 7]]), FpMatrix(5, [[3, 2]])),
+    ("FinAbGroup.rank", lambda x: FinAbGroup(x, (3,)), FinAbGroup(3, (3,))),
+    ("FinAbGroup.torsion", lambda x: FinAbGroup(0, [x]), FinAbGroup(0, (3,))),
+    ("JordanType", lambda x: JordanType(x, 0, 0), JordanType(3, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, expected", [case[1:] for case in INTEGER_SLOTS], ids=[case[0] for case in INTEGER_SLOTS]
+)
+def test_value_types_take_exact_integers(build, expected):
+    for inexact in (2.7, 3.0, "3"):
+        with pytest.raises(TypeError):
+            build(inexact)
+    # An int-like reads as the int, and a list torsion as the tuple one.
+    for exact in (3, Three()):
+        built = build(exact)
+        assert built == expected and repr(built) == repr(expected) and str(built) == str(expected)
+        if expected.__hash__ is not None:
+            assert hash(built) == hash(expected)
