@@ -21,9 +21,12 @@ Facts are claims about a group ``H^degree(space)``:
 The store closes the fact set under a fixed lattice of implications
 (``is_zero`` implies ``torsion_free`` implies ``only_primes({})``; torsion
 equalities transport torsion bounds both ways; injections transport them
-backwards) and rejects contradictory claims no matter the insertion
-order.  Two ``only_primes`` bounds on the same group do *not* merge
-automatically; intersecting them is the explicit ``combine_primes`` rule.
+backwards).  Whatever the insertion order, it rejects two different exact
+groups on one group, and an exact group with a torsion prime outside a
+bound on that group.  It compares primes, not groups, so it accepts some
+unsatisfiable sets: ``iso(Z/2)`` and ``iso(Z/4)`` under ``torsion_equals``.
+Two ``only_primes`` bounds on the same group do *not* merge automatically;
+intersecting them is the explicit ``combine_primes`` rule.
 Each ``Claim`` works out its place in the lattice once, when it is first
 built; ``FactStore.add`` reads it and adds the transport along relations.
 
@@ -57,9 +60,12 @@ import json
 import operator
 import reprlib
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from .kummer import CertificateFailure, KummerModel
 from .linalg import FinAbGroup, Value, _set, prime_factors
+
+if TYPE_CHECKING:  # an annotation only: the checker itself imports no lattice code
+    from .kummer import KummerModel
 
 __all__ = [
     "Axiom",
@@ -257,12 +263,13 @@ class Fact(Value):
 # the fact store
 
 
-def _check_ref(ref: GroupRef, spaces: dict, error) -> None:
-    """Raise ``error`` unless ``ref`` names a declared space in a degree >= 0."""
-    if ref.space not in spaces:
-        raise error(f"space {ref.space!r} is not declared")
-    if ref.degree < 0:
-        raise error(f"negative degree in {ref.render()}")
+def _check_refs(spaces: dict, error, *refs: GroupRef | None) -> None:
+    """Raise ``error`` unless each of ``refs`` but None names a declared space in a degree >= 0."""
+    for ref in filter(None, refs):
+        if ref.space not in spaces:
+            raise error(f"space {ref.space!r} is not declared")
+        if ref.degree < 0:
+            raise error(f"negative degree in {ref.render()}")
 
 
 class FactStore:
@@ -274,12 +281,6 @@ class FactStore:
         # The facts about each group, with the relations naming it as ``other``,
         # in insertion order.  Each list only grows, and shrinks on rollback.
         self._about: dict[GroupRef, list[Fact]] = {}
-
-    def copy(self) -> "FactStore":
-        new = FactStore(self.spaces)
-        new._facts = dict(self._facts)
-        new._about = {ref: list(facts) for ref, facts in self._about.items()}
-        return new
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self._facts
@@ -306,9 +307,6 @@ class FactStore:
     def provenance(self, fact: Fact) -> tuple:
         return self._facts[fact]
 
-    def _validate_ref(self, ref: GroupRef) -> None:
-        _check_ref(ref, self.spaces, ParameterMismatchError)
-
     def _check_consistent(self, fact: Fact) -> None:
         claim = fact.claim
         exact, bound = claim.exact, claim.bound
@@ -334,9 +332,7 @@ class FactStore:
         if fact in self._facts:
             return []
         # Only this fact's groups need checking: closure facts name the groups of their parents.
-        self._validate_ref(fact.subject)
-        if fact.claim.other is not None:
-            self._validate_ref(fact.claim.other)
+        _check_refs(self.spaces, ParameterMismatchError, fact.subject, fact.claim.other)
         facts, about = self._facts, self._about
         added: list[Fact] = []
         stack = [(fact, source)]
@@ -495,9 +491,7 @@ def _fact(value, spaces: dict) -> Fact:
         raise ScriptFormatError(f"claim: unknown kind {reprlib.repr(kind)}")
     spec, build = _CLAIMS[kind]
     claim = build(*_keys(claim, kind, spec)[1:])
-    _check_ref(subject, spaces, ScriptFormatError)
-    if claim.other is not None:
-        _check_ref(claim.other, spaces, ScriptFormatError)
+    _check_refs(spaces, ScriptFormatError, subject, claim.other)
     return Fact(subject, claim)
 
 
@@ -630,8 +624,9 @@ def without_step(script: Script, step_id: str) -> Script:
 # rules
 #
 # A rule reads only its step and the declared spaces, and returns the facts
-# it consumes with its conclusions; apply_rule alone checks the consumed
-# facts against the declared inputs and the established fact set.
+# it consumes with its conclusions.  apply_rule, the one path by which a step
+# reaches the store, checks the consumed facts against the declared inputs
+# and the established fact set, then commits the conclusions in place.
 
 
 def _read(step: Step, **readers) -> list:
@@ -823,21 +818,13 @@ _RULES = {
 }
 
 
-def apply_rule(store: FactStore, step: Step) -> FactStore:
-    """Replay one rule application against an established fact set.
+def apply_rule(store: FactStore, step: Step) -> tuple[str, ...]:
+    """Replay one step on ``store``, in place; render the facts it added.
 
     The declared inputs must be exactly the facts the rule consumes, each
-    already established.  Pure: returns a new store with the step's
-    conclusions (and their closure) added.  Re-applying an already-applied
-    step is a no-op.
+    already established.  The conclusions and their closure are added all or
+    none; re-applying an applied step adds nothing.
     """
-    new = store.copy()
-    _commit(new, _step_outputs(store, step), ("step", step.id))
-    return new
-
-
-def _step_outputs(store: FactStore, step: Step) -> list[Fact]:
-    """The facts ``step`` concludes, once its declared inputs are checked against ``store``."""
     handler = _RULES.get(step.rule)
     if handler is None:
         raise UnknownRuleError(f"step {step.id}: unknown rule {step.rule!r}")
@@ -848,7 +835,7 @@ def _step_outputs(store: FactStore, step: Step) -> list[Fact]:
     for fact in consumed:
         if fact not in store:
             raise MissingInputError(f"step {step.id}: input not established: {fact.render()}")
-    return outputs
+    return _commit(store, outputs, ("step", step.id))
 
 
 def _commit(store: FactStore, facts, source: tuple) -> tuple[str, ...]:
@@ -990,7 +977,7 @@ def check_script(script: Script) -> Report:
     step_records = []
     for st in script.steps:
         try:
-            new = _commit(store, _step_outputs(store, st), ("step", st.id))
+            new = apply_rule(store, st)
             step_records.append(StepRecord(st.id, st.rule, True, None, new))
         except Exception as exc:
             # Not only LedgerError: a rule that trips over a malformed
@@ -1034,17 +1021,13 @@ def coefficient_space(q: int, group: str = "A3", coefficient: str = "V") -> str:
 def leaf_facts_from_computation(model: KummerModel) -> tuple[Axiom, ...]:
     """The computed vanishing and fixed-part facts, as taggable axioms.
 
-    Refuses to emit anything if the certificate contains a non-zero entry;
-    a model whose certificate does not vanish must never turn into axioms.
+    ``model.vanishing`` raises ``CertificateFailure`` on a non-zero entry, before
+    the model is tagged, so a certificate that does not vanish never turns into axioms.
     """
-    for entry in model.vanishing_entries:
-        if not entry.group.is_zero:
-            raise CertificateFailure(
-                f"refusing to emit facts: H^{entry.p}(A3, H^{entry.q}) = {entry.group}"
-            )
+    entries = model.vanishing
     tag = model.content_tag()
     axioms: list[Axiom] = []
-    for entry in model.vanishing_entries:
+    for entry in entries:
         ref = GroupRef(coefficient_space(entry.q), entry.p)
         axioms.append(
             Axiom(

@@ -250,18 +250,9 @@ class FpMatrix:
     def __init__(self, p: int, rows, cols: int | None = None):
         _check_modulus(p)
         data = tuple([bytes([operator.index(x) % p for x in row]) for row in rows])
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with the rows")
-            cols = width
-        elif cols is None:
-            cols = 0
         self.p = p
         self.data = data
-        self.cols = cols
+        self.cols = _width(data, cols)
 
     @classmethod
     def _trusted(cls, p: int, data: tuple, cols: int) -> "FpMatrix":
@@ -343,6 +334,18 @@ class FpMatrix:
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.to_lists()!r})"
+
+
+def _width(data, cols: int | None) -> int:
+    """The common length of the rows ``data`` (``cols`` or 0 if none); ``cols`` must agree."""
+    if not data:
+        return 0 if cols is None else cols
+    width = len(data[0])
+    if any(len(row) != width for row in data):
+        raise ValueError("ragged rows")
+    if cols is not None and cols != width:
+        raise ValueError("explicit column count disagrees with the rows")
+    return width
 
 
 def _check_modulus(p: int) -> None:
@@ -437,17 +440,8 @@ class IntMatrix:
 
     def __init__(self, rows, cols: int | None = None):
         data = [[operator.index(x) for x in row] for row in rows]
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with the rows")
-            cols = width
-        elif cols is None:
-            cols = 0
         self.rows = len(data)
-        self.cols = cols
+        self.cols = _width(data, cols)
         self.sparse_rows = [dict(_nonzero(row)) for row in data]
 
     @classmethod

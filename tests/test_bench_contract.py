@@ -36,8 +36,10 @@ def test_traced_workload_runs_its_first_operation(name):
         tracer.uninstall()
     assert sum(tracer.calls.values()) > 0
     if name in ("ledger", "certify"):
-        # The facts a replay adds are counted at FactStore.add, so they must pass through it.
+        # The facts a replay adds are counted at FactStore.add, so they must pass through it,
+        # and each step reaches the store through apply_rule.
         assert tracer.totals["ledger.facts_added"] > 0
+        assert tracer.calls["ledger.apply_rule"] > 0
     if name in ("crossval", "certify"):
         # Building lattices from rows must still pass through the wrapped layers.
         assert [layer for layer in LATTICE_LAYERS if tracer.calls[layer] == 0] == []

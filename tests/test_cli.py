@@ -280,6 +280,17 @@ def test_importing_the_package_imports_no_submodule():
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
 
 
+def test_the_checker_imports_only_linalg():
+    # The model is only an annotation of the ledger's, so checking a script loads no lattice code.
+    check = (
+        "import sys, kummercert.ledger; "
+        "print(sorted(m for m in sys.modules if m.startswith('kummercert.')))"
+    )
+    proc = run_python("-c", check)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    assert proc.stdout.decode().strip() == "['kummercert.ledger', 'kummercert.linalg']"
+
+
 def test_full_cert_runs_smith_normal_form_on_blocks_only(monkeypatch):
     # Lambda^3 and Lambda^4 of the rank-8 model have rank 56 and 70, but
     # their direct summands have rank at most 16.  Every Smith normal form,
@@ -606,18 +617,18 @@ def test_a_long_closure_chain_is_established(in_steps, tmp_path, capsys):
 
 
 def test_a_long_step_chain_replays_in_one_store(monkeypatch):
-    # Each step commits in place; only apply_rule, which is pure, copies.
-    copies = []
-    original = ledger.FactStore.copy
+    # Every step goes through apply_rule, which commits in place: one store per replay.
+    stores = []
+    original = ledger.FactStore.__init__
 
-    def counted(store):
-        copies.append(store)
-        return original(store)
+    def counted(store, spaces):
+        stores.append(store)
+        original(store, spaces)
 
-    monkeypatch.setattr(ledger.FactStore, "copy", counted)
+    monkeypatch.setattr(ledger.FactStore, "__init__", counted)
     report = ledger.check_script(parse_script(chain_script(5000, True)))
     assert report.passed and report.fact_count == 15002
-    assert copies == []
+    assert len(stores) == 1
 
 
 def test_a_failing_axiom_adds_none_of_its_facts(tmp_path, capsys):

@@ -443,6 +443,22 @@ def test_fp_modulus_must_be_a_prime_below_256(p):
         IntMatrix([[1]]).reduce_mod(p)
 
 
+@pytest.mark.parametrize(
+    "build", [IntMatrix, lambda rows, cols: FpMatrix(3, rows, cols)], ids=["IntMatrix", "FpMatrix"]
+)
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        ([[1, 2], [3]], None, "ragged rows"),
+        ([[1, 2], [3]], 2, "ragged rows"),
+        ([[1, 2]], 3, "explicit column count disagrees with the rows"),
+    ],
+)
+def test_both_matrix_types_check_their_row_shape_alike(build, rows, cols, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(rows, cols)
+
+
 def test_fp_entries_are_reduced():
     m = FpMatrix(5, [[-1, 7], [10, 3]])
     assert m.to_lists() == [[4, 2], [0, 3]]
