@@ -37,6 +37,7 @@ __all__ = [
     "CertificateFailure",
     "KummerModel",
     "MismatchError",
+    "REFERENCE_TABLE",
     "VANISHING_PAIRS",
     "VanishingEntry",
     "build_context",
@@ -62,7 +63,15 @@ SIGMA_BLOCK = ((-1, 1), (-1, 0))
 # quotient argument needs in total degrees 3 and 5.
 VANISHING_PAIRS = ((1, 2), (2, 1), (3, 0), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0))
 
-_EXPECTED_H1_TYPE = JordanType(0, 4, 0)
+# Published reference values for the block-count table of this action;
+# verify-proposition checks both computation routes against them.  The k = 1
+# row is the type the degree-1 action itself must have.
+REFERENCE_TABLE = {
+    1: JordanType(0, 4, 0),
+    2: JordanType(10, 0, 6),
+    3: JordanType(0, 16, 8),
+    4: JordanType(19, 0, 17),
+}
 
 # Degrees of the exterior-power tower: the block-count table uses 1..4,
 # the vanishing certificate 0..4 and the fixed-rank table 0..5.
@@ -151,14 +160,14 @@ class KummerModel:
     def is_expected_model(self) -> bool:
         # The sign convention must give four size-2 blocks mod 3 and no
         # fixed vectors; anything else means the model is wrong.
-        return self.base_type == _EXPECTED_H1_TYPE and self.fixed_ranks[1] == 0
+        return self.base_type == REFERENCE_TABLE[1] and self.fixed_ranks[1] == 0
 
     def to_json_dict(self) -> dict:
         """The certified content; the model must be the expected one."""
         if not self.is_expected_model:
             raise InvariantError(
                 f"the degree-1 model has mod-3 type {self.base_type} and fixed rank "
-                f"{self.fixed_ranks[1]}, expected {_EXPECTED_H1_TYPE} and 0"
+                f"{self.fixed_ranks[1]}, expected {REFERENCE_TABLE[1]} and 0"
             )
         return {
             "sigma_h1": self.action.matrix.to_lists(),

@@ -55,7 +55,6 @@ and the same 248 after the shipped script and its 44 deletion mutants.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 import reprlib
@@ -287,10 +286,6 @@ class FactStore:
 
     def __len__(self) -> int:
         return len(self._facts)
-
-    def facts_since(self, n: int) -> list[Fact]:
-        """The facts added after the first ``n``, in insertion order, read from the end."""
-        return list(itertools.islice(reversed(self._facts), len(self._facts) - n))[::-1]
 
     def rollback(self, n: int) -> None:
         """Remove the facts added after the first ``n``, newest first, and their index entries."""
@@ -623,16 +618,13 @@ def without_step(script: Script, step_id: str) -> Script:
 # --------------------------------------------------------------------------
 # rules
 #
-# A rule reads only its step and the declared spaces, and returns the facts
-# it consumes with its conclusions.  apply_rule, the one path by which a step
+# A rule reads only its step, the declared spaces and the step's parameters,
+# which apply_rule reads through the rule's table, and returns the facts it
+# consumes with its conclusions.  apply_rule, the one path by which a step
 # reaches the store, checks the consumed facts against the declared inputs
 # and the established fact set, then commits the conclusions in place.
 
-
-def _read(step: Step, **readers) -> list:
-    """The step's parameters named by ``readers``, read in that order; it may have no others."""
-    spec = {key: (reader, ...) for key, reader in readers.items()}
-    return _keys(step.params, f"step {step.id}", spec, ParameterMismatchError, "parameter")
+_Derived = tuple[list[Fact], list[Fact]]  # the facts a rule consumes, and its conclusions
 
 
 def _about(step: Step, ref: GroupRef) -> tuple[Fact, frozenset[int]]:
@@ -651,11 +643,8 @@ def _about(step: Step, ref: GroupRef) -> tuple[Fact, frozenset[int]]:
     raise MissingInputError(f"step {step.id}: needs a fact about {ref.render()}")
 
 
-def _rule_thom_iso(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_thom_iso(step: Step, spaces: dict, pair, center, copies, codim, degrees) -> _Derived:
     # H^k(pair) = (copies) disjoint summands of H^(k - codim)(center).
-    pair, center, copies, codim, degrees = _read(
-        step, pair=str, center=str, copies=int, codim=int, degrees=_integers
-    )
     if copies < 1 or codim < 1:
         raise ParameterMismatchError(f"step {step.id}: copies and codim must be positive")
     _pair(step, spaces, pair)
@@ -693,30 +682,25 @@ def _check_sequence(step: Step, spaces: dict, zero: GroupRef, *terms: GroupRef) 
         raise ParameterMismatchError(f"step {step.id}: after {zero.render()} must come {want}")
 
 
-def _rule_les_torsion_equal(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_les_torsion_equal(step: Step, spaces: dict, zero, left, mid, right) -> _Derived:
     # The pair's exact H^k(P) -> H^k(X) -> H^k(Y) -> H^(k+1)(P) with the first
     # term zero and the last torsion free: H^k(X) and H^k(Y) have the same torsion.
-    zero, left, mid, right = _read(step, zero=_ref, left=_ref, mid=_ref, right=_ref)
     _check_sequence(step, spaces, zero, left, mid, right)
-    return (
-        [Fact(zero, Claim.is_zero()), Fact(right, Claim.torsion_free())],
-        [Fact(left, Claim.torsion_equals(mid))],
-    )
+    consumed = [Fact(zero, Claim.is_zero()), Fact(right, Claim.torsion_free())]
+    return consumed, [Fact(left, Claim.torsion_equals(mid))]
 
 
-def _rule_les_inject(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_les_inject(step: Step, spaces: dict, zero, source, target) -> _Derived:
     # The pair's exact H^k(P) -> H^k(X) -> H^k(Y) with the first term zero:
     # the torsion of H^k(X) embeds in that of H^k(Y).
-    zero, source, target = _read(step, zero=_ref, source=_ref, target=_ref)
     _check_sequence(step, spaces, zero, source, target)
     return [Fact(zero, Claim.is_zero())], [Fact(source, Claim.torsion_injects_into(target))]
 
 
-def _rule_transfer_cover(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_transfer_cover(step: Step, spaces: dict, d, total, base, k) -> _Derived:
     # Degree-d covering total -> base: restriction followed by transfer is
     # multiplication by d, so base torsion away from d injects into the
     # total space's torsion.
-    d, total, base, k = _read(step, cover_degree=int, total=str, base=str, k=int)
     if d < 2:
         raise ParameterMismatchError(f"step {step.id}: cover degree must be >= 2")
     if d >= FACTOR_BOUND:
@@ -726,13 +710,10 @@ def _rule_transfer_cover(step: Step, spaces: dict) -> tuple[list[Fact], list[Fac
     return [fact], [Fact(GroupRef(base, k), Claim.only_primes(primes))]
 
 
-def _rule_blowup_split(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_blowup_split(step: Step, spaces: dict, blowup, base, center, codim, degrees) -> _Derived:
     # Blow-up along a smooth center of complex codimension c: cohomology
     # splits off shifted copies of the center, so torsion primes of the
     # blow-up are bounded by those of the base and the shifted center.
-    blowup, base, center, codim, degrees = _read(
-        step, blowup=str, base=str, center=str, codim=int, degrees=_integers
-    )
     if codim < 1:
         raise ParameterMismatchError(f"step {step.id}: codim must be positive")
     consumed = {}  # a fact read for two degrees is consumed once
@@ -748,22 +729,18 @@ def _rule_blowup_split(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]
     return list(consumed), outputs
 
 
-def _rule_duality_uct(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_duality_uct(step: Step, spaces: dict, manifold, n, j) -> _Derived:
     # On a closed oriented n-manifold, Poincare duality plus universal
     # coefficients give tors H^(j+1) = tors H_j = tors H^(n-j).
-    manifold, n, j = _read(step, manifold=str, dim=int, homology_degree=int)
     if not 0 <= j < n:
         raise ParameterMismatchError(f"step {step.id}: homology degree out of range")
     return [], [Fact(GroupRef(manifold, j + 1), Claim.torsion_equals(GroupRef(manifold, n - j)))]
 
 
-def _rule_spectral_vanishing(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_spectral_vanishing(step: Step, spaces: dict, quotient, group, coefficient, k) -> _Derived:
     # Cartan-Leray for a free action: when every H^p(G, H^(k-p)) with
     # p >= 1 vanishes, H^k of the quotient is the invariant edge term,
     # which is torsion free whenever the fixed part is.
-    quotient, group, coefficient, k = _read(
-        step, quotient=str, group=str, coefficient=str, k=int
-    )
     if k < 1:
         raise ParameterMismatchError(f"step {step.id}: total degree must be >= 1")
     if k > len(step.inputs):  # so that it builds at most one fact more than declared
@@ -778,57 +755,62 @@ def _rule_spectral_vanishing(step: Step, spaces: dict) -> tuple[list[Fact], list
     return consumed, [Fact(GroupRef(quotient, k), Claim.torsion_free())]
 
 
-def _rule_complement_iso(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_complement_iso(step: Step, spaces: dict, manifold, complement, n, _, degrees) -> _Derived:
     # Removing a finite point set from a closed n-manifold leaves H^k
     # unchanged for k <= n - 2.
-    manifold, complement, n, _, degrees = _read(
-        step, manifold=str, complement=str, dim=int, removed_points=int,
-        degrees=_integers,
-    )
     for k in degrees:
         if k > n - 2:
-            raise ParameterMismatchError(
-                f"step {step.id}: degree {k} exceeds dim - 2 = {n - 2}"
-            )
+            raise ParameterMismatchError(f"step {step.id}: degree {k} exceeds dim - 2 = {n - 2}")
     return [], [
         Fact(GroupRef(manifold, k), Claim.torsion_equals(GroupRef(complement, k)))
         for k in degrees
     ]
 
 
-def _rule_combine_primes(step: Step, spaces: dict) -> tuple[list[Fact], list[Fact]]:
+def _rule_combine_primes(step: Step, spaces: dict, subject, first, second) -> _Derived:
     # Two torsion bounds on the same group intersect.
-    subject, first, second = _read(step, subject=_ref, first=_integers, second=_integers)
-    return (
-        [Fact(subject, Claim.only_primes(first)), Fact(subject, Claim.only_primes(second))],
-        [Fact(subject, Claim.only_primes(set(first) & set(second)))],
-    )
+    bounds = [Fact(subject, Claim.only_primes(first)), Fact(subject, Claim.only_primes(second))]
+    return bounds, [Fact(subject, Claim.only_primes(set(first) & set(second)))]
 
 
+# Each rule's parameter table, all of its keys required, and the rule, which
+# takes their values in the table's order after the step and the spaces.
 _RULES = {
-    "thom_iso": _rule_thom_iso,
-    "les_torsion_equal": _rule_les_torsion_equal,
-    "les_inject": _rule_les_inject,
-    "transfer_cover": _rule_transfer_cover,
-    "blowup_split": _rule_blowup_split,
-    "duality_uct": _rule_duality_uct,
-    "spectral_vanishing": _rule_spectral_vanishing,
-    "complement_iso": _rule_complement_iso,
-    "combine_primes": _rule_combine_primes,
+    "thom_iso": ({"pair": (str, ...), "center": (str, ...), "copies": (int, ...),
+                  "codim": (int, ...), "degrees": (_integers, ...)}, _rule_thom_iso),
+    "les_torsion_equal": ({"zero": (_ref, ...), "left": (_ref, ...), "mid": (_ref, ...),
+                           "right": (_ref, ...)}, _rule_les_torsion_equal),
+    "les_inject": ({"zero": (_ref, ...), "source": (_ref, ...), "target": (_ref, ...)},
+                   _rule_les_inject),
+    "transfer_cover": ({"cover_degree": (int, ...), "total": (str, ...), "base": (str, ...),
+                        "k": (int, ...)}, _rule_transfer_cover),
+    "blowup_split": ({"blowup": (str, ...), "base": (str, ...), "center": (str, ...),
+                      "codim": (int, ...), "degrees": (_integers, ...)}, _rule_blowup_split),
+    "duality_uct": ({"manifold": (str, ...), "dim": (int, ...), "homology_degree": (int, ...)},
+                    _rule_duality_uct),
+    "spectral_vanishing": ({"quotient": (str, ...), "group": (str, ...),
+                            "coefficient": (str, ...), "k": (int, ...)}, _rule_spectral_vanishing),
+    "complement_iso": ({"manifold": (str, ...), "complement": (str, ...), "dim": (int, ...),
+                        "removed_points": (int, ...), "degrees": (_integers, ...)},
+                       _rule_complement_iso),
+    "combine_primes": ({"subject": (_ref, ...), "first": (_integers, ...),
+                        "second": (_integers, ...)}, _rule_combine_primes),
 }
 
 
 def apply_rule(store: FactStore, step: Step) -> tuple[str, ...]:
     """Replay one step on ``store``, in place; render the facts it added.
 
-    The declared inputs must be exactly the facts the rule consumes, each
-    already established.  The conclusions and their closure are added all or
+    The step's parameters are read through its rule's table, and the declared
+    inputs must be exactly the facts the rule consumes, each already
+    established.  The conclusions and their closure are added all or
     none; re-applying an applied step adds nothing.
     """
-    handler = _RULES.get(step.rule)
-    if handler is None:
+    if step.rule not in _RULES:
         raise UnknownRuleError(f"step {step.id}: unknown rule {step.rule!r}")
-    consumed, outputs = handler(step, store.spaces)
+    spec, rule = _RULES[step.rule]
+    params = _keys(step.params, f"step {step.id}", spec, ParameterMismatchError, "parameter")
+    consumed, outputs = rule(step, store.spaces, *params)
     if set(step.inputs) != set(consumed) or len(step.inputs) != len(consumed):
         want = ", ".join(f.render() for f in consumed) or "(none)"
         raise ParameterMismatchError(f"step {step.id}: inputs must be exactly: {want}")
@@ -845,9 +827,10 @@ def _commit(store: FactStore, facts, source: tuple) -> tuple[str, ...]:
     """
     mark = len(store)
     try:
+        added = []
         for fact in facts:
-            store.add(fact, source)
-        return tuple([f.render() for f in store.facts_since(mark)])
+            added += store.add(fact, source)
+        return tuple([f.render() for f in added])
     except BaseException:
         store.rollback(mark)
         raise
@@ -980,8 +963,7 @@ def check_script(script: Script) -> Report:
             new = apply_rule(store, st)
             step_records.append(StepRecord(st.id, st.rule, True, None, new))
         except Exception as exc:
-            # Not only LedgerError: a rule that trips over a malformed
-            # parameter (say a number where a list belongs) fails its step
+            # Not only LedgerError: whatever a rule raises fails its own step,
             # and the replay goes on.
             message = f"{type(exc).__name__}: {exc}"
             step_records.append(StepRecord(st.id, st.rule, False, message, ()))

@@ -9,9 +9,11 @@ meets only the non-zero entries of row k of b, so the block-sparse
 matrices this package builds cost in proportion to their non-zeros.
 Smith normal form, cokernels and determinants eliminate on dense lists
 written out from the rows.  Ranks over F_p of either kind of matrix, and
-of sparse integer rows, run one elimination.  All values are immutable
-and every operation is a pure function, so everything here is safe to
-share between threads.
+of sparse integer rows, run one elimination.  Every operation is a pure
+function and returns a new value.  ``FinAbGroup`` and the other ``Value``
+types refuse assignment; the two matrix types are immutable by convention
+only, as their slots can be assigned, and no code here assigns them after
+construction.
 
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
 favour simplicity and verifiability over asymptotics: sparse Gaussian
@@ -241,8 +243,10 @@ class FinAbGroup(Value):
 class FpMatrix:
     """Dense matrix over the prime field F_p, p < 256, entries in [0, p).
 
-    Each row is a ``bytes`` object, so a matrix is compact and immutable
-    and a row's entries read back as small Python ints.
+    Each row is a ``bytes`` object, so a matrix is compact, its rows cannot
+    change, and a row's entries read back as small Python ints.  Its slots
+    ``p``, ``data`` and ``cols`` can be assigned: it is immutable by
+    convention only.
     """
 
     __slots__ = ("p", "data", "cols")
@@ -428,12 +432,14 @@ def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
 
 
 class IntMatrix:
-    """Immutable matrix with arbitrary-precision integer entries, kept as sparse rows.
+    """Matrix with arbitrary-precision integer entries, kept as sparse rows.
 
     ``sparse_rows`` is a list holding, for each row, a dict {column: value}
     of its non-zero entries; it is the only form stored.  ``data`` and
-    ``to_lists`` write the dense rows out from it on each call.  Rows are
-    never mutated, so matrices may share them.
+    ``to_lists`` write the dense rows out from it on each call.  A matrix is
+    immutable by convention only: its slots ``rows``, ``cols`` and
+    ``sparse_rows`` can be assigned and its row dicts changed, and nothing
+    here does either, so matrices may share rows.
     """
 
     __slots__ = ("rows", "cols", "sparse_rows")

@@ -451,14 +451,14 @@ def check_ledger_json(script, tmp_path, capsys):
 
 def test_a_rule_exception_fails_only_its_step(tmp_path, capsys, monkeypatch):
     # Not only ledger errors: whatever a rule raises fails its own step.
-    combine_primes = ledger._RULES["combine_primes"]
+    table, combine_primes = ledger._RULES["combine_primes"]
 
-    def broken(step, spaces):
+    def broken(step, spaces, *params):
         if step.id == "s15":
             raise TypeError("broken on purpose")
-        return combine_primes(step, spaces)
+        return combine_primes(step, spaces, *params)
 
-    monkeypatch.setitem(ledger._RULES, "combine_primes", broken)
+    monkeypatch.setitem(ledger._RULES, "combine_primes", (table, broken))
     script = shipped_json()
     code, payload = check_ledger_json(script, tmp_path, capsys)
     assert code == 1

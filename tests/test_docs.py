@@ -1,4 +1,7 @@
-"""The README and the modules' export lists agree with the code; no check in it is an ``assert``."""
+"""The README, the modules' export lists and the ledger's key tables agree with the code.
+
+No check in the package is an ``assert``.
+"""
 
 import ast
 import importlib
@@ -21,9 +24,11 @@ def test_readme_lists_exactly_the_ledger_rules():
     assert re.findall(r"`(\w+)`", listed) == sorted(ledger._RULES)
 
 
-def test_readme_names_every_key_of_every_section_table():
+def key_tables() -> list[dict]:
+    """Every key table in ``ledger``: the module-level ones, each claim kind's and each rule's."""
     # A table maps each key of one kind of JSON object to its (reader, default).
     tables = [spec for spec, _ in ledger._CLAIMS.values()]
+    tables += [spec for spec, _ in ledger._RULES.values()]
     tables += [
         value for value in vars(ledger).values()
         if type(value) is dict and value and all(
@@ -31,8 +36,23 @@ def test_readme_names_every_key_of_every_section_table():
         )
     ]
     assert ledger._SCRIPT in tables and ledger._SPACE in tables
-    keys = {key for table in tables for key in table}
+    return tables
+
+
+def test_readme_names_every_key_of_every_section_table():
+    keys = {key for table in key_tables() for key in table}
     assert sorted(key for key in keys if f"`{key}`" not in README) == []
+    # Each rule's parameters, on its own line and in its table's order.
+    for rule, (spec, _) in ledger._RULES.items():
+        line = re.search(rf"^\* `{rule}`: (.*)$", README, re.M).group(1)
+        assert re.findall(r"`(\w+)`", line) == list(spec), rule
+
+
+def test_every_reader_in_a_key_table_has_a_message():
+    # _keys names the expected type from _READERS; a reader missing there
+    # would raise KeyError instead of the table's own error.
+    readers = {reader for table in key_tables() for reader, _ in table.values()}
+    assert sorted(r.__name__ for r in readers if r not in ledger._READERS) == []
 
 
 @pytest.mark.parametrize("name", MODULES)

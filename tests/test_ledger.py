@@ -305,6 +305,76 @@ def test_factoring_is_bounded_per_claim(monkeypatch):
     assert counts[0] == counts[1]
 
 
+# ------------------------------------------------------ the meaning of a fact
+#
+# A model assigns a group to each of 4 spaces x 2 degrees, and a fact is true
+# in it when its claim holds of the groups it names.  Given only true facts,
+# in any order, the store must accept them all and derive only true facts.
+
+MODEL_SPACES = dict.fromkeys("ABCD")
+MODEL_REFS = [GroupRef(space, degree) for space in MODEL_SPACES for degree in (0, 1)]
+# Few small cyclic factors, so that equal and embedded torsion groups are common.
+MODEL_GROUPS = st.builds(
+    FinAbGroup.from_factors, st.integers(0, 1), st.lists(st.sampled_from([2, 4, 3, 9]), max_size=2)
+)
+PRIME_SETS = [frozenset(c) for n in range(4) for c in itertools.combinations((2, 3, 5), n)]
+
+
+def elementary_divisors(group, p):
+    """The exponents of the powers of ``p`` in ``group``'s torsion, largest first."""
+    exponents = [linalg.prime_factors(d).get(p, 0) for d in group.torsion]
+    return sorted([e for e in exponents if e], reverse=True)
+
+
+def torsion_embeds(group, other):
+    # Finite abelian p-groups: A embeds in B exactly when A's elementary
+    # divisors, sorted, are dominated by B's, one by one.
+    for p in group.torsion_primes():
+        mine, theirs = elementary_divisors(group, p), elementary_divisors(other, p)
+        if len(mine) > len(theirs) or any(a > b for a, b in zip(mine, theirs)):
+            return False
+    return True
+
+
+def holds(model, fact):
+    group, claim = model[fact.subject], fact.claim
+    if claim.kind == "is_zero":
+        return group.is_zero
+    if claim.kind == "torsion_free":
+        return group.is_torsion_free
+    if claim.kind == "only_primes":
+        return group.torsion_primes() <= claim.primes
+    if claim.kind == "iso_to":
+        return group == claim.group
+    other = model[claim.other]
+    if claim.kind == "torsion_equals":
+        return group.torsion == other.torsion
+    return torsion_embeds(group, other)
+
+
+def test_the_embedding_criterion_compares_elementary_divisors():
+    z = FinAbGroup.from_factors
+    assert torsion_embeds(z(0, [2]), z(0, [4])) and not torsion_embeds(z(0, [4]), z(0, [2]))
+    assert torsion_embeds(z(0, [2, 2]), z(0, [2, 4]))
+    assert not torsion_embeds(z(0, [2, 2]), z(0, [8]))
+    assert torsion_embeds(z(1, []), z(0, [])) and not torsion_embeds(z(0, [3]), z(2, [4]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(MODEL_GROUPS, min_size=len(MODEL_REFS), max_size=len(MODEL_REFS)), st.data())
+def test_the_store_derives_only_facts_true_in_a_model(groups, data):
+    model = dict(zip(MODEL_REFS, groups))
+    claims = [Claim.is_zero(), Claim.torsion_free(), *map(Claim.only_primes, PRIME_SETS)]
+    claims += [Claim.torsion_equals(r) for r in MODEL_REFS]
+    claims += [Claim.torsion_injects_into(r) for r in MODEL_REFS]
+    true = [Fact(r, c) for r in MODEL_REFS for c in [*claims, Claim.iso_to(model[r])]]
+    true = [fact for fact in true if holds(model, fact)]
+    store = FactStore(MODEL_SPACES)
+    for fact in data.draw(st.lists(st.sampled_from(true), max_size=24)):
+        store.add(fact, ("axiom", "a"))
+    assert [f.render() for f in store._facts if not holds(model, f)] == []
+
+
 # -------------------------------------------------------------------- rules
 
 # The rules section is the replay's trusted base: it stays small enough to
@@ -380,7 +450,7 @@ def test_thom_iso_rule():
     with pytest.raises(ParameterMismatchError, match="over 10000 factors"):
         too_many = params | {"copies": 10**4 + 1}
         apply_rule(store, step("thom_iso", too_many, [center_z3]))
-    assert store.facts_since(0) == store_with(center_z3).facts_since(0)
+    assert list(store._facts) == list(store_with(center_z3)._facts)
 
 
 def test_unknown_rule_and_missing_input():
@@ -412,12 +482,12 @@ def test_input_list_must_match_exactly():
     }
     apply_rule(store, step("les_torsion_equal", params, [zero, tf]))
     assert Fact(ref("X", 3), Claim.torsion_equals(ref("Y", 3))) in store
-    established = store.facts_since(0)
+    established = list(store._facts)
     with pytest.raises(ParameterMismatchError):
         apply_rule(store, step("les_torsion_equal", params, [zero, tf, extra]))
     with pytest.raises(ParameterMismatchError):
         apply_rule(store, step("les_torsion_equal", params, [zero]))
-    assert store.facts_since(0) == established
+    assert list(store._facts) == established
 
 
 def replay_with_inputs(script, step_id, inputs):
@@ -477,16 +547,6 @@ def test_a_step_failing_mid_closure_leaves_the_store_as_it_was():
         apply_rule(store, the_step)
     assert list(store._facts.items()) == facts_before
     assert store._about == about_before
-
-
-def test_facts_since_lists_the_newest_facts_in_insertion_order():
-    store = store_with(
-        Fact(ref("X", 3), Claim.is_zero()), Fact(ref("Y", 2), Claim.iso_to(FinAbGroup(1, (3,))))
-    )
-    listed = list(store._facts)
-    assert len(listed) > 2  # closure facts too
-    for n in range(len(listed) + 1):
-        assert store.facts_since(n) == listed[n:]
 
 
 # ------------------------------------------------------------ whole scripts
