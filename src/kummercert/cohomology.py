@@ -15,12 +15,13 @@ ranks add up to n, as Q^n = ker(s - 1) + ker(N) (checked, not assumed).
 An action works on sparse rows, the non-zero entries of each row, as the
 exterior powers it acts on are sparse: the wedge squares of scrambled
 lattices of rank up to 12 have a median of one entry in eleven non-zero,
-on sides of up to 66.  It reads the generator's ``sparse_rows``.  s^2,
-the check s^3 = 1 over Z, s - 1 and N are built once over the non-zeros
-of s, and dense rows are formed only for the blocks below and on
-request.  The random lattices are built the same way: the unimodular
-pair is handed over as sparse rows, checked to multiply to 1 on those
-rows, and conjugates a block sum of prebuilt blocks.
+on sides of up to 66.  It reads the generator's ``sparse_rows``.  s^2
+and the check s^3 = 1 over Z are made once over the non-zeros of s when
+the action is built; the integer rows of s - 1 and N are built on the
+first read by a cokernel, and dense rows are formed only for the blocks
+below and on request.  The random lattices are built the same way: the
+unimodular pair is handed over as sparse rows, checked to multiply to 1
+on those rows, and conjugates a block sum of prebuilt blocks.
 
 Each computation first splits the lattice into coordinate direct
 summands: the connected components of the off-diagonal non-zero pattern
@@ -35,8 +36,11 @@ The mod-3 Jordan type needs no product over F_3.  (s - 1)^2 = N - 3s is
 N mod 3, and (s - 1)^3 = s^3 - 1 - 3s(s - 1) is 0 mod 3 because s^3 = 1,
 which is checked over Z when the action is built.  So the ranks of
 (s - 1)^j mod 3 are those of s - 1 and N, which the cokernels already
-use, for j = 1, 2, and 0 from j = 3 on.  Both ranks are eliminated
-straight from the sparse integer rows, with no reduced F_3 copy.
+use, for j = 1, 2, and 0 from j = 3 on.  Both ranks are eliminated on
+bit-sliced F_3 rows, two integer bit masks per row (``linalg._f3_rows``),
+built straight from the sparse rows of s and s^2: N is (s - 1) + (s^2 - 1)
+mod 3.  An action asked only for its type, as the wedge squares in the
+cross-validation are, never builds the integer rows of s - 1 or N.
 
 There is also a closed form in terms of the mod-3 Jordan type of the
 action: (Z/3)^l1 in even degrees and (Z/3)^l2 in odd degrees.  The closed
@@ -56,9 +60,11 @@ from .linalg import (
     IntMatrix,
     InvariantError,
     Value,
+    _f3_add,
+    _f3_rows,
     _nonzero,
     _product_rows,
-    _rank_mod,
+    _rank_f3,
     _set,
     cokernel,
 )
@@ -79,11 +85,14 @@ class LatticeAction(Value):
     """An order-3 (or trivial) integer action on Z^n, given by its generator.
 
     Its working form is sparse rows, dicts {column: value}: s as the
-    generator's own ``sparse_rows``, and s^2, s - 1 and N built once from
-    those, with s^3 = 1 checked exactly over Z on every row.  s - 1 and N
-    may keep a zero where entries cancel.  ``squared``, ``norm`` and
-    ``shifted`` build matrices only when called.  It has no ``__slots__``:
-    the rows and ``_invariants`` are kept in its ``__dict__``.
+    generator's own ``sparse_rows``, and s^2 built from those when the
+    action is built, with s^3 = 1 checked exactly over Z on every row.
+    The rows of s - 1 and N are built from s and s^2 on their first read,
+    by a cokernel, ``shifted`` or ``norm``, and may keep a zero where
+    entries cancel; the mod-3 type reads s and s^2 alone.  ``squared``,
+    ``norm`` and ``shifted`` build matrices only when called.  It has no
+    ``__slots__``: the rows and ``_invariants`` are kept in its
+    ``__dict__``.
     """
 
     _fields = ("matrix",)
@@ -96,23 +105,11 @@ class LatticeAction(Value):
         m = self.matrix
         if m.rows != m.cols:
             raise ValueError("the generator must be square")
-        s = m.sparse_rows
-        items = [row.items() for row in s]
+        items = [row.items() for row in m.sparse_rows]
         square = _product_rows(items, items)
         if _product_rows(map(dict.items, square), items) != [{i: 1} for i in range(m.rows)]:
             raise ValueError("the generator must cube to the identity")
-        shifted, norm = [], []
-        for i, (row, row_sq) in enumerate(zip(s, square)):
-            delta, total = dict(row), dict(row_sq)
-            for j, x in row.items():
-                total[j] = total.get(j, 0) + x
-            delta[i] = delta.get(i, 0) - 1
-            total[i] = total.get(i, 0) + 1
-            shifted.append(delta)
-            norm.append(total)
         _set(self, "_square", square)
-        _set(self, "_norm", norm)
-        _set(self, "_shifted", shifted)
 
     @property
     def rank(self) -> int:
@@ -129,6 +126,24 @@ class LatticeAction(Value):
     def shifted(self) -> IntMatrix:
         """s - 1."""
         return _block(self._shifted, range(self.rank))
+
+    @cached_property
+    def _shifted(self) -> list[dict[int, int]]:
+        """The rows of s - 1, built on the first read by a cokernel or ``shifted``."""
+        rows = [dict(row) for row in self.matrix.sparse_rows]
+        for i, row in enumerate(rows):
+            row[i] = row.get(i, 0) - 1
+        return rows
+
+    @cached_property
+    def _norm(self) -> list[dict[int, int]]:
+        """The rows of N = 1 + s + s^2, built on the first read by a cokernel or ``norm``."""
+        rows = [dict(row_sq) for row_sq in self._square]
+        for i, (row, total) in enumerate(zip(self.matrix.sparse_rows, rows)):
+            for j, x in row.items():
+                total[j] = total.get(j, 0) + x
+            total[i] = total.get(i, 0) + 1
+        return rows
 
     @cached_property
     def _invariants(self) -> tuple[int, FinAbGroup, FinAbGroup]:
@@ -205,9 +220,11 @@ def fixed_points(action: LatticeAction) -> FinAbGroup:
 
 
 def jordan_type_mod3(action: LatticeAction) -> JordanType:
-    """Jordan type of the action reduced mod 3, from the ranks of s - 1 and N mod 3."""
-    ranks = [_rank_mod(map(dict.items, rows), 3) for rows in (action._shifted, action._norm)]
-    return _type_from_ranks(action.rank, ranks)
+    """Jordan type of the action reduced mod 3, from the F_3 ranks of s - 1 and N on masks."""
+    # N = (s - 1) + (s^2 - 1) + 3, so the two masks add up to N mod 3.
+    shifted = _f3_rows(map(dict.items, action.matrix.sparse_rows), -1)
+    norm = map(_f3_add, shifted, _f3_rows(map(dict.items, action._square), -1))
+    return _type_from_ranks(action.rank, [_rank_f3(shifted), _rank_f3(norm)])
 
 
 # Up to genus, every order-3 lattice decomposes into three indecomposables:

@@ -8,8 +8,9 @@ the lattice actions of ``cohomology`` call directly: each non-zero a[i][k]
 meets only the non-zero entries of row k of b, so the block-sparse
 matrices this package builds cost in proportion to their non-zeros.
 Smith normal form, cokernels and determinants eliminate on dense lists
-written out from the rows.  Ranks over F_p of either kind of matrix, and
-of sparse integer rows, run one elimination.  Every operation is a pure
+written out from the rows.  Ranks over F_p of F_p matrices run one sparse
+elimination; the lattice actions take their ranks over F_3 on bit-sliced
+rows, two integer bit masks per row.  Every operation is a pure
 function and returns a new value.  ``FinAbGroup`` and the other ``Value``
 types refuse assignment; the two matrix types are immutable by convention
 only, as their slots can be assigned, and no code here assigns them after
@@ -17,10 +18,10 @@ construction.
 
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
 favour simplicity and verifiability over asymptotics: sparse Gaussian
-elimination for ranks over F_p, one loop of division with remainder by a
-least pivot for Smith normal form, Bareiss for determinants, and
-column-wedge expansion over the non-zero entries for compound
-(exterior-power) matrices.
+elimination for ranks over F_p, elimination on bit masks over F_3, one
+loop of division with remainder by a least pivot for Smith normal form,
+Bareiss for determinants, and column-wedge expansion over the non-zero
+entries for compound (exterior-power) matrices.
 """
 
 from __future__ import annotations
@@ -367,6 +368,12 @@ def _nonzero(row):
 def _rank_mod(rows, p: int) -> int:
     """Rank over F_p of integer rows, by exact Gaussian elimination.
 
+    Its only caller is ``FpMatrix.rank``.  An F_p matrix may have any prime
+    p < 256 (the tests use 2, 5 and 251), which the two bit masks of
+    ``_rank_f3`` cannot hold, and the mod-3 oracle stays on F_p matrices
+    until it moves onto integer rows and masks as a whole; the lattice
+    actions take their ranks mod 3 on the masks.
+
     Each row comes as (column, value) pairs, of its non-zero entries or of
     any superset, and is kept as a dict of its entries that are non-zero
     mod p, so the work follows the non-zeros and their fill-in rather than
@@ -393,6 +400,70 @@ def _rank_mod(rows, p: int) -> int:
                     row[j] = y
                 else:
                     row.pop(j, None)
+    return len(pivots)
+
+
+# Rows over F_3, bit-sliced: a row is two Python ints (a, b), bit j of a set
+# where the entry is 1 mod 3 and bit j of b where it is 2 mod 3, so a row
+# operation is a few bitwise operations on rows of any width (Boothby and
+# Bradshaw, "Bitslicing and the Method of Four Russians Over Larger Finite
+# Fields", 2009).  Negation, and so scaling by 2, swaps the two masks.
+
+
+def _f3_rows(rows, diagonal: int) -> list[tuple[int, int]]:
+    """The masks of integer rows, each given as (column, value) pairs.
+
+    Zeros may be listed and a column may not repeat; ``diagonal`` is added
+    to the entry in column i of row i, so -1 turns a square s into s - 1.
+    """
+    unit = diagonal % 3
+    c, d = unit & 1, unit >> 1  # the masks of the diagonal entry, moved along the rows
+    out = []
+    for row in rows:
+        a = b = 0
+        for j, x in row:
+            r = x % 3
+            if r == 1:
+                a |= 1 << j
+            elif r:
+                b |= 1 << j
+        t = (a | d) ^ (b | c)  # _f3_add, inlined on this hot path
+        out.append(((b | d) ^ t, (a | c) ^ t))
+        c <<= 1
+        d <<= 1
+    return out
+
+
+def _f3_add(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """The sum of two mask rows over F_3."""
+    a, b = u
+    c, d = v
+    t = (a | d) ^ (b | c)
+    return (b | d) ^ t, (a | c) ^ t
+
+
+def _rank_f3(rows) -> int:
+    """Rank over F_3 of mask rows, by Gaussian elimination on the masks.
+
+    A pivot sits at the highest set bit of a | b, keyed by its bit length,
+    and is kept scaled to 1 there.  A row holding f at a pivot's bit
+    subtracts f times the pivot row: it adds the pivot when f = 2 and the
+    swapped (negated) pivot when f = 1.
+    """
+    # Bit length -> pivot row, 1 at its top bit and zero above it.
+    pivots: dict[int, tuple[int, int]] = {}
+    for a, b in rows:
+        while support := a | b:
+            top = support.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (a, b) if a.bit_length() == top else (b, a)
+                break
+            c, d = pivot
+            if a.bit_length() == top:
+                c, d = d, c
+            t = (a | d) ^ (b | c)  # _f3_add, inlined on this hot path
+            a, b = (b | d) ^ t, (a | c) ^ t
     return len(pivots)
 
 
@@ -744,10 +815,8 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
     for i, row in enumerate(m.sparse_rows):
         for t, x in row.items():
             columns[t].append((i, 1 << i, x))
-    index = {
-        sum(1 << i for i in subset): r
-        for r, subset in enumerate(itertools.combinations(range(n), k))
-    }
+    bits = [1 << i for i in range(n)]
+    index = {sum(subset): r for r, subset in enumerate(itertools.combinations(bits, k))}
     out: list[dict[int, int]] = [{} for _ in index]
     # (partial wedge, columns taken as a mask, next column, columns taken)
     stack: list[tuple[dict[int, int], int, int, int]] = [({0: 1}, 0, 0, 0)]

@@ -380,6 +380,39 @@ def test_both_parities_are_computed_once_per_action():
     assert snf_input_dims(fixed_points, action)[1] == 0
 
 
+def test_the_integer_rows_of_s_minus_1_and_n_are_built_only_for_the_cokernels(monkeypatch):
+    built = []
+
+    def counted(name, build):
+        return lambda action: built.append(name) or build(action)
+
+    for name in ("_shifted", "_norm"):
+        rows = vars(LatticeAction)[name]
+        monkeypatch.setattr(rows, "func", counted(name, rows.func))
+    rng = random.Random(59)
+    action, counts = random_conjugated_block_action(rng, max_rank=9)
+    while counts.dimension < 2:
+        action, counts = random_conjugated_block_action(rng, max_rank=9)
+    wedge = coefficient_action(action, 2)
+    jordan_type_mod3(wedge)
+    assert "_shifted" not in vars(wedge) and "_norm" not in vars(wedge) and built == []
+    for degree in (1, 2, 3, 4):
+        cohomology_snf(wedge, degree)
+    fixed_points(wedge)
+    s, square = wedge.matrix.data, (wedge.matrix @ wedge.matrix).data
+    assert wedge.shifted().to_lists() == [
+        [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(s)
+    ]
+    assert wedge.norm().to_lists() == [
+        [(i == j) + x + y for j, (x, y) in enumerate(zip(*rows))]
+        for i, rows in enumerate(zip(s, square))
+    ]
+    assert sorted(built) == ["_norm", "_shifted"]
+    # The cube check stays with the construction.
+    with pytest.raises(ValueError, match="^the generator must cube to the identity$"):
+        LatticeAction(IntMatrix([[0, 1], [1, 0]]))
+
+
 def quotient_reference(action):
     """(fixed lattice, even, odd) as quotients of lattices on the unsplit action.
 

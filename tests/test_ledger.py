@@ -364,14 +364,100 @@ def test_the_embedding_criterion_compares_elementary_divisors():
 @given(st.lists(MODEL_GROUPS, min_size=len(MODEL_REFS), max_size=len(MODEL_REFS)), st.data())
 def test_the_store_derives_only_facts_true_in_a_model(groups, data):
     model = dict(zip(MODEL_REFS, groups))
-    claims = [Claim.is_zero(), Claim.torsion_free(), *map(Claim.only_primes, PRIME_SETS)]
-    claims += [Claim.torsion_equals(r) for r in MODEL_REFS]
-    claims += [Claim.torsion_injects_into(r) for r in MODEL_REFS]
-    true = [Fact(r, c) for r in MODEL_REFS for c in [*claims, Claim.iso_to(model[r])]]
-    true = [fact for fact in true if holds(model, fact)]
     store = FactStore(MODEL_SPACES)
-    for fact in data.draw(st.lists(st.sampled_from(true), max_size=24)):
+    for fact in data.draw(st.lists(st.sampled_from(true_facts(model)), max_size=24)):
         store.add(fact, ("axiom", "a"))
+    assert [f.render() for f in store._facts if not holds(model, f)] == []
+
+
+def true_facts(model):
+    """The facts about the model's groups, over a fixed set of claims, that are true in it."""
+    claims = [Claim.is_zero(), Claim.torsion_free(), *map(Claim.only_primes, PRIME_SETS)]
+    claims += [Claim.torsion_equals(r) for r in model]
+    claims += [Claim.torsion_injects_into(r) for r in model]
+    facts = [Fact(r, c) for r in model for c in [*claims, Claim.iso_to(model[r])]]
+    return [fact for fact in facts if holds(model, fact)]
+
+
+# ------------------------------------------------------ the meaning of a rule
+#
+# A rule is sound when its conclusion holds in every model of its hypothesis.
+# Each model below realizes a rule's hypothesis on the pair P = (X, Y) in
+# degree 0, where H^0(P) -> H^0(X) -> H^0(Y) -> H^1(P) is exact; groups the
+# hypothesis says nothing about are drawn freely.  The rule is applied among
+# other true facts, and everything the store then holds must be true.
+
+RULE_SPACES = {"X": None, "Y": None, "P": ("X", "Y")}
+ZERO, SOURCE, TARGET, NEXT = ref("P", 0), ref("X", 0), ref("Y", 0), ref("P", 1)
+
+
+@st.composite
+def subgroups(draw, group):
+    """A group isomorphic to a subgroup of ``group``.
+
+    Z^r for r up to its rank, plus a subgroup Z/e of each cyclic factor
+    Z/d (e divides d): every subgroup's isomorphism type arises this way.
+    """
+    rank = draw(st.integers(0, group.rank))
+    divisors = [[e for e in range(1, d + 1) if d % e == 0] for d in group.torsion]
+    factors = [draw(st.sampled_from(choices)) for choices in divisors]
+    return FinAbGroup.from_factors(rank, [e for e in factors if e > 1])
+
+
+def combine_primes_model(draw):
+    # Any model: both bounds on one group hold, so their intersection does.
+    model = {r: draw(MODEL_GROUPS) for r in (SOURCE, TARGET, ZERO, NEXT)}
+    subject = draw(st.sampled_from(list(model)))
+    bounds = [p for p in PRIME_SETS if model[subject].torsion_primes() <= p]
+    first, second = (sorted(draw(st.sampled_from(bounds))) for _ in range(2))
+    params = {"subject": subject.to_json_dict(), "first": first, "second": second}
+    inputs = [Fact(subject, Claim.only_primes(first)), Fact(subject, Claim.only_primes(second))]
+    return model, params, inputs, Fact(subject, Claim.only_primes(set(first) & set(second)))
+
+
+def les_inject_model(draw):
+    # H^0(P) = 0, so H^0(X) is a subgroup of H^0(Y).
+    target = draw(MODEL_GROUPS)
+    model = {ZERO: FinAbGroup.zero(), SOURCE: draw(subgroups(target)), TARGET: target}
+    model[NEXT] = draw(MODEL_GROUPS)
+    params = {"zero": ZERO.to_json_dict(), "source": SOURCE.to_json_dict()}
+    params |= {"target": TARGET.to_json_dict()}
+    conclusion = Fact(SOURCE, Claim.torsion_injects_into(TARGET))
+    return model, params, [Fact(ZERO, Claim.is_zero())], conclusion
+
+
+def les_torsion_equal_model(draw):
+    # As for les_inject, and the quotient H^0(Y) / H^0(X) lies in the
+    # torsion-free H^1(P): so it is free of some rank m, and H^0(Y) = H^0(X) + Z^m.
+    source, m = draw(MODEL_GROUPS), draw(st.integers(0, 2))
+    target = source.direct_sum(FinAbGroup.free(m))
+    model = {ZERO: FinAbGroup.zero(), SOURCE: source, TARGET: target}
+    model[NEXT] = FinAbGroup.free(m + draw(st.integers(0, 1)))
+    params = {"zero": ZERO.to_json_dict(), "left": SOURCE.to_json_dict()}
+    params |= {"mid": TARGET.to_json_dict(), "right": NEXT.to_json_dict()}
+    inputs = [Fact(ZERO, Claim.is_zero()), Fact(NEXT, Claim.torsion_free())]
+    return model, params, inputs, Fact(SOURCE, Claim.torsion_equals(TARGET))
+
+
+RULE_MODELS = {
+    "combine_primes": combine_primes_model,
+    "les_inject": les_inject_model,
+    "les_torsion_equal": les_torsion_equal_model,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_rule_derives_only_facts_true_in_every_model_of_its_hypothesis(rule, data):
+    model, params, inputs, conclusion = RULE_MODELS[rule](data.draw)
+    model |= {r: data.draw(MODEL_GROUPS) for r in (ref("X", 1), ref("Y", 1))}
+    assert all(holds(model, fact) for fact in inputs)
+    store = FactStore(RULE_SPACES)
+    for fact in [*data.draw(st.lists(st.sampled_from(true_facts(model)), max_size=12)), *inputs]:
+        store.add(fact, ("axiom", "a"))
+    apply_rule(store, step(rule, params, inputs))
+    assert conclusion in store
     assert [f.render() for f in store._facts if not holds(model, f)] == []
 
 

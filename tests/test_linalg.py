@@ -16,6 +16,9 @@ from kummercert.linalg import (
     FinAbGroup,
     FpMatrix,
     IntMatrix,
+    _f3_add,
+    _f3_rows,
+    _rank_f3,
     _rank_mod,
     cokernel,
     exterior_power,
@@ -396,6 +399,30 @@ def test_rank_mod_equals_the_rank_of_the_reduced_matrix(p, n, k, data):
     assert _rank_mod([list(enumerate(row)) for row in rows], p) == rank
     order = data.draw(st.permutations(range(n)))
     assert _rank_mod(nonzero_pairs([rows[i] for i in order]), p) == rank
+    if p == 3:
+        # The lattice actions' route: the same rows as F_3 bit masks.
+        assert _rank_f3(_f3_rows(nonzero_pairs(rows), 0)) == rank
+        assert _rank_f3(_f3_rows([list(enumerate(row)) for row in rows], 0)) == rank
+        assert _rank_f3(_f3_rows(nonzero_pairs([rows[i] for i in order]), 0)) == rank
+        if n <= k:
+            # A diagonal shift lands on entry (i, i) of each row, as s - 1 needs.
+            shift = data.draw(st.sampled_from((-1, 1, 2, 2**70)))
+            shifted = [[x + shift * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+            assert _rank_f3(_f3_rows(nonzero_pairs(rows), shift)) == dense_rank(shifted, 3)
+
+
+def test_f3_addition_adds_every_pair_of_residues():
+    # Column j holds the j-th of the 9 residue pairs (x, y), so one addition
+    # of two 9-column rows checks them all side by side.
+    pairs = list(itertools.product(range(3), repeat=2))
+
+    def masks(residues):
+        """Bit j of the first mask set where residue j is 1, of the second where it is 2."""
+        return tuple(sum(1 << j for j, x in enumerate(residues) if x == r) for r in (1, 2))
+
+    u, v = masks([x for x, _ in pairs]), masks([y for _, y in pairs])
+    assert _f3_add(u, v) == _f3_add(v, u) == masks([(x + y) % 3 for x, y in pairs])
+    assert _f3_rows([[(j, x - 3 * y) for j, (x, y) in enumerate(pairs)]], 0) == [u]
 
 
 def nonzero_pairs(rows):
