@@ -15,13 +15,14 @@ ranks add up to n, as Q^n = ker(s - 1) + ker(N) (checked, not assumed).
 An action works on sparse rows, the non-zero entries of each row, as the
 exterior powers it acts on are sparse: the wedge squares of scrambled
 lattices of rank up to 12 have a median of one entry in eleven non-zero,
-on sides of up to 66.  It reads the generator's ``sparse_rows``.  s^2
-and the check s^3 = 1 over Z are made once over the non-zeros of s when
-the action is built; the integer rows of s - 1 and N are built on the
-first read by a cokernel, and dense rows are formed only for the blocks
-below and on request.  The random lattices are built the same way: the
-unimodular pair is handed over as sparse rows, checked to multiply to 1
-on those rows, and conjugates a block sum of prebuilt blocks.
+on sides of up to 66.  ``LatticeAction(matrix)`` proves s^3 = 1 exactly
+over Z on the generator's ``sparse_rows`` and keeps the s^2 it built; an
+exterior power inherits that proof, as Lambda^q(s)^3 = Lambda^q(s^3) = 1
+(Cauchy-Binet).  Otherwise s^2, s - 1 and N are built on their first read,
+and dense rows only for the blocks below and on request.  The random
+lattices are built the same way: the unimodular pair is handed over as
+sparse rows, checked to multiply to 1 on those rows, and conjugates a
+block sum of prebuilt blocks.
 
 Each computation first splits the lattice into coordinate direct
 summands: the connected components of the off-diagonal non-zero pattern
@@ -32,15 +33,14 @@ submatrices cut from the rows: the degree-4 lattice of the rank-8 model
 has rank 70 but blocks of rank at most 16.  The fixed rank and both
 parities are computed once per action and kept on it.
 
-The mod-3 Jordan type needs no product over F_3.  (s - 1)^2 = N - 3s is
-N mod 3, and (s - 1)^3 = s^3 - 1 - 3s(s - 1) is 0 mod 3 because s^3 = 1,
-which is checked over Z when the action is built.  So the ranks of
-(s - 1)^j mod 3 are those of s - 1 and N, which the cokernels already
-use, for j = 1, 2, and 0 from j = 3 on.  Both ranks are eliminated on
-bit-sliced F_3 rows, two integer bit masks per row (``linalg._f3_rows``),
-built straight from the sparse rows of s and s^2: N is (s - 1) + (s^2 - 1)
-mod 3.  An action asked only for its type, as the wedge squares in the
-cross-validation are, never builds the integer rows of s - 1 or N.
+The mod-3 Jordan type needs no product over Z.  (s - 1)^2 = N - 3s is
+N mod 3, and (s - 1)^3 = s^3 - 1 - 3s(s - 1) is 0 mod 3 as s^3 = 1.  So
+the ranks of (s - 1)^j mod 3 are those of s - 1 and N for j = 1, 2, and 0
+from j = 3 on.  Both are eliminated on bit-sliced F_3 rows, two integer
+masks per row: s - 1 from the rows of s (``linalg._f3_rows``) and N as its
+mask product with itself (``linalg._f3_product``).  An action asked only
+for its type, as the cross-validation's wedge squares are, builds no
+integer rows of s^2, s - 1 or N.
 
 There is also a closed form in terms of the mod-3 Jordan type of the
 action: (Z/3)^l1 in even degrees and (Z/3)^l2 in odd degrees.  The closed
@@ -60,13 +60,14 @@ from .linalg import (
     IntMatrix,
     InvariantError,
     Value,
-    _f3_add,
+    _f3_product,
     _f3_rows,
     _nonzero,
     _product_rows,
     _rank_f3,
     _set,
     cokernel,
+    exterior_power,
 )
 
 __all__ = [
@@ -85,14 +86,12 @@ class LatticeAction(Value):
     """An order-3 (or trivial) integer action on Z^n, given by its generator.
 
     Its working form is sparse rows, dicts {column: value}: s as the
-    generator's own ``sparse_rows``, and s^2 built from those when the
-    action is built, with s^3 = 1 checked exactly over Z on every row.
-    The rows of s - 1 and N are built from s and s^2 on their first read,
-    by a cokernel, ``shifted`` or ``norm``, and may keep a zero where
-    entries cancel; the mod-3 type reads s and s^2 alone.  ``squared``,
-    ``norm`` and ``shifted`` build matrices only when called.  It has no
-    ``__slots__``: the rows and ``_invariants`` are kept in its
-    ``__dict__``.
+    generator's own ``sparse_rows``.  The constructor checks s^3 = 1 exactly
+    over Z for any input and keeps the s^2 it built; ``_exterior_power``
+    builds a power past that check.  Otherwise s^2, s - 1 and N are built on
+    their first read, by a cokernel, ``squared``, ``shifted`` or ``norm``,
+    and s - 1 and N may keep a zero where entries cancel; the mod-3 type
+    reads s alone.  The rows and ``_invariants`` live in its ``__dict__``.
     """
 
     _fields = ("matrix",)
@@ -106,14 +105,18 @@ class LatticeAction(Value):
         if m.rows != m.cols:
             raise ValueError("the generator must be square")
         items = [row.items() for row in m.sparse_rows]
-        square = _product_rows(items, items)
-        if _product_rows(map(dict.items, square), items) != [{i: 1} for i in range(m.rows)]:
+        if _product_rows(map(dict.items, self._square), items) != [{i: 1} for i in range(m.rows)]:
             raise ValueError("the generator must cube to the identity")
-        _set(self, "_square", square)
 
     @property
     def rank(self) -> int:
         return self.matrix.rows
+
+    def _exterior_power(self, q: int) -> "LatticeAction":
+        """Lambda^q(s), unchecked: Lambda^q(s)^3 = Lambda^q(s^3) = 1 by Cauchy-Binet."""
+        power = object.__new__(LatticeAction)
+        _set(power, "matrix", exterior_power(self.matrix, q))
+        return power
 
     def squared(self) -> "LatticeAction":
         """The action of the other generator, s^2."""
@@ -126,6 +129,12 @@ class LatticeAction(Value):
     def shifted(self) -> IntMatrix:
         """s - 1."""
         return _block(self._shifted, range(self.rank))
+
+    @cached_property
+    def _square(self) -> list[dict[int, int]]:
+        """The rows of s^2, built by the cube check or, on a power, on the first read."""
+        items = [row.items() for row in self.matrix.sparse_rows]
+        return _product_rows(items, items)
 
     @cached_property
     def _shifted(self) -> list[dict[int, int]]:
@@ -220,10 +229,10 @@ def fixed_points(action: LatticeAction) -> FinAbGroup:
 
 
 def jordan_type_mod3(action: LatticeAction) -> JordanType:
-    """Jordan type of the action reduced mod 3, from the F_3 ranks of s - 1 and N on masks."""
-    # N = (s - 1) + (s^2 - 1) + 3, so the two masks add up to N mod 3.
-    shifted = _f3_rows(map(dict.items, action.matrix.sparse_rows), -1)
-    norm = map(_f3_add, shifted, _f3_rows(map(dict.items, action._square), -1))
+    """Jordan type mod 3, from the F_3 ranks of the masks of s - 1 and of (s - 1)^2 = N mod 3."""
+    rows = action.matrix.sparse_rows
+    shifted = _f3_rows(map(dict.items, rows), -1)
+    norm = _f3_product([[*row.items(), (i, -1)] for i, row in enumerate(rows)], shifted)
     return _type_from_ranks(action.rank, [_rank_f3(shifted), _rank_f3(norm)])
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .cohomology import LatticeAction, cohomology_snf, fixed_points, jordan_type_mod3
 from .jordan import JordanType, wedge
-from .linalg import FinAbGroup, IntMatrix, InvariantError, Value, exterior_power
+from .linalg import FinAbGroup, IntMatrix, InvariantError, Value
 
 __all__ = [
     "CertificateFailure",
@@ -86,8 +86,8 @@ def build_sigma_h1() -> LatticeAction:
 
 
 def coefficient_action(action: LatticeAction, q: int) -> LatticeAction:
-    """The induced action on the degree-q lattice (the q-th exterior power)."""
-    return LatticeAction(exterior_power(action.matrix, q))
+    """The action on the degree-q lattice Lambda^q, unchecked: Lambda^q(s)^3 = 1 by Cauchy-Binet."""
+    return action._exterior_power(q)
 
 
 class VanishingEntry(Value):

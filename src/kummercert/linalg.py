@@ -11,10 +11,10 @@ Smith normal form, cokernels and determinants eliminate on dense lists
 written out from the rows.  Ranks over F_p of F_p matrices run one sparse
 elimination; the lattice actions take their ranks over F_3 on bit-sliced
 rows, two integer bit masks per row.  Every operation is a pure
-function and returns a new value.  ``FinAbGroup`` and the other ``Value``
-types refuse assignment; the two matrix types are immutable by convention
-only, as their slots can be assigned, and no code here assigns them after
-construction.
+function and returns a new value.  ``FinAbGroup``, the other ``Value``
+types and ``IntMatrix`` refuse assignment; the row dicts of an
+``IntMatrix`` and the slots of an ``FpMatrix`` are immutable by convention
+only, and no code here changes them after construction.
 
 Instances are tiny (nothing beyond roughly 100 x 100), so the algorithms
 favour simplicity and verifiability over asymptotics: sparse Gaussian
@@ -407,7 +407,8 @@ def _rank_mod(rows, p: int) -> int:
 # where the entry is 1 mod 3 and bit j of b where it is 2 mod 3, so a row
 # operation is a few bitwise operations on rows of any width (Boothby and
 # Bradshaw, "Bitslicing and the Method of Four Russians Over Larger Finite
-# Fields", 2009).  Negation, and so scaling by 2, swaps the two masks.
+# Fields", 2009).  Negation, and so scaling by 2, swaps the two masks, and
+# (a, b) + (c, d) is ((b | d) ^ t, (a | c) ^ t) for t = (a | d) ^ (b | c).
 
 
 def _f3_rows(rows, diagonal: int) -> list[tuple[int, int]]:
@@ -427,19 +428,28 @@ def _f3_rows(rows, diagonal: int) -> list[tuple[int, int]]:
                 a |= 1 << j
             elif r:
                 b |= 1 << j
-        t = (a | d) ^ (b | c)  # _f3_add, inlined on this hot path
+        t = (a | d) ^ (b | c)  # the sum of two mask rows
         out.append(((b | d) ^ t, (a | c) ^ t))
         c <<= 1
         d <<= 1
     return out
 
 
-def _f3_add(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """The sum of two mask rows over F_3."""
-    a, b = u
-    c, d = v
-    t = (a | d) ^ (b | c)
-    return (b | d) ^ t, (a | c) ^ t
+def _f3_product(rows, masks) -> list[tuple[int, int]]:
+    """The masks of a @ b over F_3, from the rows of a as (column, value) pairs and the masks of b.
+
+    Row i adds row k of b, swapped (negated) where a[i][k] is 2 mod 3; columns may repeat.
+    """
+    out = []
+    for row in rows:
+        a = b = 0
+        for k, x in row:
+            if r := x % 3:
+                c, d = masks[k] if r == 1 else masks[k][::-1]
+                t = (a | d) ^ (b | c)  # the sum of two mask rows
+                a, b = (b | d) ^ t, (a | c) ^ t
+        out.append((a, b))
+    return out
 
 
 def _rank_f3(rows) -> int:
@@ -462,7 +472,7 @@ def _rank_f3(rows) -> int:
             c, d = pivot
             if a.bit_length() == top:
                 c, d = d, c
-            t = (a | d) ^ (b | c)  # _f3_add, inlined on this hot path
+            t = (a | d) ^ (b | c)  # the sum of two mask rows
             a, b = (b | d) ^ t, (a | c) ^ t
     return len(pivots)
 
@@ -507,19 +517,21 @@ class IntMatrix:
 
     ``sparse_rows`` is a list holding, for each row, a dict {column: value}
     of its non-zero entries; it is the only form stored.  ``data`` and
-    ``to_lists`` write the dense rows out from it on each call.  A matrix is
-    immutable by convention only: its slots ``rows``, ``cols`` and
-    ``sparse_rows`` can be assigned and its row dicts changed, and nothing
-    here does either, so matrices may share rows.
+    ``to_lists`` write the dense rows out from it on each call.  Its slots
+    ``rows``, ``cols`` and ``sparse_rows`` refuse assignment and deletion,
+    as ``Value`` fields do; its row dicts are immutable by convention only
+    (nothing here changes one), so matrices may share rows.
     """
 
     __slots__ = ("rows", "cols", "sparse_rows")
+    __setattr__ = Value.__setattr__
+    __delattr__ = Value.__delattr__
 
     def __init__(self, rows, cols: int | None = None):
         data = [[operator.index(x) for x in row] for row in rows]
-        self.rows = len(data)
-        self.cols = _width(data, cols)
-        self.sparse_rows = [dict(_nonzero(row)) for row in data]
+        _set(self, "rows", len(data))
+        _set(self, "cols", _width(data, cols))
+        _set(self, "sparse_rows", [dict(_nonzero(row)) for row in data])
 
     @classmethod
     def _from_rows(cls, rows: list[dict[int, int]], cols: int) -> "IntMatrix":
@@ -530,10 +542,13 @@ class IntMatrix:
         mutate them afterwards.
         """
         m = object.__new__(cls)
-        m.rows = len(rows)
-        m.cols = cols
-        m.sparse_rows = rows
+        _set(m, "rows", len(rows))
+        _set(m, "cols", cols)
+        _set(m, "sparse_rows", rows)
         return m
+
+    def __reduce__(self):  # copy and pickle rebuild past the refusal, as the constructors do
+        return IntMatrix._from_rows, (self.sparse_rows, self.cols)
 
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
@@ -799,17 +814,19 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
     entry is the determinant of the submatrix with rows S and columns T.
     Column T = (t1 < ... < tk) is the wedge m e_t1 ^ ... ^ m e_tk, expanded
     over the non-zero entries of each column of m.  Column prefixes are
-    visited depth first, so the partial wedge of every prefix
-    (t1, ..., tj) is built once and shared by all its extensions, and a
-    prefix whose wedge vanishes is dropped with all of them.  The columns
-    of m are gathered from its sparse rows, and the result keeps the row
-    form: one dict per subset S of the non-zero minors in its row.
+    visited depth first, so the partial wedge of every prefix (t1, ..., tj)
+    is built once and shared by all its extensions, a prefix whose wedge
+    vanishes is dropped with all of them, and the wedge of a whole set T is
+    written straight into column T.  The columns of m are gathered from its
+    sparse rows, and each row of the result keeps only its non-zero minors.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     n = m.rows
     if k < 0 or k > n:
         raise BadDegreeError(f"degree {k} out of range for a {n} x {n} matrix")
+    if k == 0:
+        return IntMatrix.identity(1)
     # Subsets are bit masks; e_i moves into place past the set bits above i.
     columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, row in enumerate(m.sparse_rows):
@@ -822,11 +839,6 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
     stack: list[tuple[dict[int, int], int, int, int]] = [({0: 1}, 0, 0, 0)]
     while stack:
         partial, prefix, start, depth = stack.pop()
-        if depth == k:
-            col = index[prefix]
-            for subset, coeff in partial.items():
-                out[index[subset]][col] = coeff
-            continue
         for t in range(start, n - k + depth + 1):
             wedge: dict[int, int] = {}
             for subset, coeff in partial.items():
@@ -836,7 +848,11 @@ def exterior_power(m: IntMatrix, k: int) -> IntMatrix:
                     term = -coeff * x if (subset >> i).bit_count() & 1 else coeff * x
                     key = subset | bit
                     wedge[key] = wedge.get(key, 0) + term
-            wedge = {subset: coeff for subset, coeff in wedge.items() if coeff}
-            if wedge:
+            if depth + 1 == k:  # a whole column set: its wedge goes straight into the output
+                col = index[prefix | 1 << t]
+                for subset, coeff in wedge.items():
+                    if coeff:
+                        out[index[subset]][col] = coeff
+            elif wedge := {subset: coeff for subset, coeff in wedge.items() if coeff}:
                 stack.append((wedge, prefix | 1 << t, t + 1, depth + 1))
     return IntMatrix._from_rows(out, len(index))

@@ -15,14 +15,19 @@ from kummercert.cohomology import (
     random_conjugated_block_action,
     random_unimodular,
 )
-from kummercert.jordan import JordanType, jordan_type_unipotent
+from kummercert.jordan import JordanType, _type_from_ranks, jordan_type_unipotent
+from kummercert.jordan import wedge as wedge_type
 from kummercert.kummer import build_model, coefficient_action
 from kummercert.linalg import (
     BadDegreeError,
     FinAbGroup,
     IntMatrix,
     InvariantError,
+    _f3_rows,
+    _product_rows,
+    _rank_f3,
     cokernel,
+    exterior_power,
     kernel_basis,
     solve_exact,
 )
@@ -386,18 +391,19 @@ def test_the_integer_rows_of_s_minus_1_and_n_are_built_only_for_the_cokernels(mo
     def counted(name, build):
         return lambda action: built.append(name) or build(action)
 
-    for name in ("_shifted", "_norm"):
-        rows = vars(LatticeAction)[name]
-        monkeypatch.setattr(rows, "func", counted(name, rows.func))
     rng = random.Random(59)
     action, counts = random_conjugated_block_action(rng, max_rank=9)
     while counts.dimension < 2:
         action, counts = random_conjugated_block_action(rng, max_rank=9)
+    for name in ("_square", "_shifted", "_norm"):
+        rows = vars(LatticeAction)[name]
+        monkeypatch.setattr(rows, "func", counted(name, rows.func))
     wedge = coefficient_action(action, 2)
-    jordan_type_mod3(wedge)
-    assert "_shifted" not in vars(wedge) and "_norm" not in vars(wedge) and built == []
+    assert jordan_type_mod3(wedge) == wedge_type(counts, 2)
+    assert not {"_square", "_shifted", "_norm"} & set(vars(wedge)) and built == []
     for degree in (1, 2, 3, 4):
         cohomology_snf(wedge, degree)
+    assert sorted(built) == ["_norm", "_shifted", "_square"]
     fixed_points(wedge)
     s, square = wedge.matrix.data, (wedge.matrix @ wedge.matrix).data
     assert wedge.shifted().to_lists() == [
@@ -407,10 +413,56 @@ def test_the_integer_rows_of_s_minus_1_and_n_are_built_only_for_the_cokernels(mo
         [(i == j) + x + y for j, (x, y) in enumerate(zip(*rows))]
         for i, rows in enumerate(zip(s, square))
     ]
-    assert sorted(built) == ["_norm", "_shifted"]
-    # The cube check stays with the construction.
+    assert sorted(built) == ["_norm", "_shifted", "_square"]
+    # The cube check stays with the construction, which keeps the s^2 it checked with.
     with pytest.raises(ValueError, match="^the generator must cube to the identity$"):
         LatticeAction(IntMatrix([[0, 1], [1, 0]]))
+    assert "_square" in vars(LatticeAction(wedge.matrix))
+
+
+def test_a_power_of_an_action_cubes_to_the_identity_without_a_check_of_its_own():
+    # Lambda^q(s)^3 = Lambda^q(s^3) = 1 (Cauchy-Binet) stands in for the
+    # check that a power of a checked action skips; test it on every degree.
+    rng = random.Random(83)
+    for _ in range(200):
+        base, _ = random_conjugated_block_action(rng, max_rank=8)
+        square = base.squared().matrix
+        for q in range(base.rank + 1):
+            power = coefficient_action(base, q)
+            assert power.matrix.mat_pow(3).is_identity()
+            assert power.squared().matrix == exterior_power(square, q)
+    # LatticeAction(matrix) still checks any matrix it is given.
+    with pytest.raises(ValueError, match="^the generator must cube to the identity$"):
+        LatticeAction(IntMatrix([[0, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="^the generator must be square$"):
+        LatticeAction(IntMatrix([[1, 0]]))
+
+
+def integer_square_type(action):
+    """The mod-3 type by the integer route: s^2 and N over Z, then their masks and ranks."""
+    rows = action.matrix.sparse_rows
+    items = [row.items() for row in rows]
+    norm = _product_rows(items, items)
+    for i, (row, total) in enumerate(zip(rows, norm)):
+        for j, x in [*row.items(), (i, 1)]:
+            total[j] = total.get(j, 0) + x
+    ranks = [_rank_f3(_f3_rows(items, -1)), _rank_f3(_f3_rows(map(dict.items, norm), 0))]
+    return _type_from_ranks(action.rank, ranks)
+
+
+def test_the_mask_route_gives_the_type_of_the_integer_route():
+    def check(action):
+        assert jordan_type_mod3(action) == integer_square_type(action)
+
+    for power in build_model().powers.values():
+        check(power)
+        check(power.squared())
+    rng = random.Random(89)
+    for _ in range(500):
+        action, counts = random_conjugated_block_action(rng, max_rank=12)
+        check(action)
+        if counts.dimension >= 2:
+            check(coefficient_action(action, 2))
 
 
 def quotient_reference(action):

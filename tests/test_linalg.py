@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -16,8 +18,9 @@ from kummercert.linalg import (
     FinAbGroup,
     FpMatrix,
     IntMatrix,
-    _f3_add,
+    _f3_product,
     _f3_rows,
+    _product_rows,
     _rank_f3,
     _rank_mod,
     cokernel,
@@ -413,7 +416,8 @@ def test_rank_mod_equals_the_rank_of_the_reduced_matrix(p, n, k, data):
 
 def test_f3_addition_adds_every_pair_of_residues():
     # Column j holds the j-th of the 9 residue pairs (x, y), so one addition
-    # of two 9-column rows checks them all side by side.
+    # of two 9-column rows checks them all side by side.  The mask product
+    # of a row (1, 1) with the rows u, v is their sum, and of (2, 2) minus it.
     pairs = list(itertools.product(range(3), repeat=2))
 
     def masks(residues):
@@ -421,8 +425,30 @@ def test_f3_addition_adds_every_pair_of_residues():
         return tuple(sum(1 << j for j, x in enumerate(residues) if x == r) for r in (1, 2))
 
     u, v = masks([x for x, _ in pairs]), masks([y for _, y in pairs])
-    assert _f3_add(u, v) == _f3_add(v, u) == masks([(x + y) % 3 for x, y in pairs])
+    total = masks([(x + y) % 3 for x, y in pairs])
+    assert _f3_product([[(0, 1), (1, 1)]], [u, v]) == [total]
+    assert _f3_product([[(1, 4), (0, -2)]], [v, u]) == [total]
+    assert _f3_product([[(0, 2), (1, -1)]], [u, v]) == [total[::-1]]
     assert _f3_rows([[(j, x - 3 * y) for j, (x, y) in enumerate(pairs)]], 0) == [u]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.data())
+def test_the_mask_product_equals_the_masks_of_the_integer_product(n, m, data):
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.sampled_from((2**70, -(2**70))))
+    row = st.one_of(st.just([0] * n), st.lists(entry, min_size=n, max_size=n))
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    # Each row as its non-zeros or with its zeros listed, its pairs in any order.
+    pairs = [data.draw(st.sampled_from((nonzero_pairs([r])[0], [*enumerate(r)]))) for r in rows]
+    pairs = [data.draw(st.permutations(p)) for p in pairs]
+    masks = _f3_rows(pairs, 0)
+    square = _f3_product(pairs, masks)
+    assert square == _f3_rows(map(dict.items, _product_rows(pairs, pairs)), 0)
+    # Any row order of a, and a left factor of any shape.
+    order = data.draw(st.permutations(range(n)))
+    assert _f3_product([pairs[i] for i in order], masks) == [square[i] for i in order]
+    a = nonzero_pairs(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=m)))
+    assert _f3_product(a, masks) == _f3_rows(map(dict.items, _product_rows(a, pairs)), 0)
 
 
 def nonzero_pairs(rows):
@@ -779,8 +805,26 @@ def test_exterior_power_matches_minors(n, density, data):
     if density == "sparse":
         value = st.one_of(st.just(0), st.just(0), st.just(0), value)
     m = data.draw(matrices(n, n, value))
-    k = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    k = data.draw(st.one_of(st.just(0), st.just(n), st.just(max(n - 1, 0)), st.integers(0, n)))
     assert exterior_power(m, k) == minors(m, k)
+
+
+def test_a_wedge_that_cancels_at_its_last_column_leaves_no_zero_entry():
+    # With column j equal to column i < j, every wedge taking both cancels
+    # term by term once column j joins, at the last column when k = 2 and
+    # j is the last one taken; the minors must still come out without zeros.
+    rng = random.Random(19)
+    for n in range(2, 7):
+        for _ in range(8):
+            rows = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+            i, j = sorted(rng.sample(range(n), 2))
+            for row in rows:
+                row[j] = row[i]
+            m = IntMatrix(rows)
+            for k in range(n + 1):
+                power = exterior_power(m, k)
+                assert all(all(row.values()) for row in power.sparse_rows)
+                assert power == minors(m, k)
 
 
 def test_exterior_powers_of_sigma_equal_the_minors():
@@ -836,6 +880,23 @@ def test_kronecker_shape_and_order():
 def test_lift_reduce_roundtrip():
     m = fixture_matrix("rotation")
     assert m.reduce_mod(3).lift() == IntMatrix([[0, 2], [1, 2]])
+
+
+@pytest.mark.parametrize("build", [IntMatrix, lambda rows: row_built(IntMatrix(rows))])
+@pytest.mark.parametrize("name", ["rows", "cols", "sparse_rows"])
+def test_a_matrix_refuses_assignment_and_deletion_of_its_slots(build, name):
+    # Both constructors set the slots past the refusal.
+    m = build([[1, 2], [0, 3]])
+    before = getattr(m, name)
+    with pytest.raises(AttributeError):
+        setattr(m, name, before)
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+    assert getattr(m, name) is before and m == IntMatrix([[1, 2], [0, 3]])
+    # Copies and pickles are rebuilt past the refusal too.
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and type(twin) is IntMatrix
+    assert copy.deepcopy(m).sparse_rows is not m.sparse_rows
 
 
 def test_empty_matrices_everywhere():
